@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
-class NumericError(ValueError):
-    """An operation received or produced non-finite values."""
+from .errors import InputError, NumericError, ShapeError
 
 
 def _as_array(x) -> np.ndarray:
@@ -219,7 +213,7 @@ def relu(a: Tensor) -> Tensor:
 def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
     """Row-wise softmax of ``a / temperature`` with max-shift stabilization."""
     if temperature <= 0:
-        raise ValueError("temperature must be positive")
+        raise InputError("temperature must be positive")
     if not np.all(np.isfinite(a.data)):
         raise NumericError("softmax_rows: non-finite input")
     z = a.data / temperature
@@ -352,19 +346,25 @@ def logsumexp_cols(a: Tensor, groups: list[list[int]]) -> Tensor:
     return Tensor._make(out, (a,), backward)
 
 
+def pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """All-pairs euclidean distances D[i,j] = ||x_i - x_j|| between rows of x."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def pairwise_l2(a: Tensor) -> Tensor:
-    """All-pairs euclidean distance matrix D[i,j] = ||a_i - a_j||.
+    """Differentiable :func:`pairwise_distances`.
 
     Subgradient at coincident rows (D=0) is taken as 0.
     """
     if a.data.ndim != 2:
         raise ShapeError("pairwise_l2 expects a 2-D tensor")
-    diff = a.data[:, None, :] - a.data[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = pairwise_distances(a.data)
 
     def backward(g):
         if not a.requires_grad:
             return
+        diff = a.data[:, None, :] - a.data[None, :, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             unit = diff / dist[:, :, None]
         unit[~np.isfinite(unit)] = 0.0

@@ -15,17 +15,26 @@ import sys
 
 from . import pipeline, synth
 from .data import greedy_sample, parse_conll
+from .errors import InputError, LabelTransferError
 from .gw import gromov_wasserstein, plan_to_csv
 from .pipeline import Model, TrainConfig, aggregate, build_source_graph, evaluate, finetune, train_source
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> TrainConfig:
-    config = TrainConfig.from_json(open(path).read()) if path else TrainConfig()
+    config = TrainConfig.from_json(_read_text(path)) if path else TrainConfig()
     fields = dataclasses.asdict(config)
     if overrides:
         fields.update({k: v for k, v in overrides.items() if v is not None})
     if "LST_SEED" in os.environ:
-        fields["seed"] = int(os.environ["LST_SEED"])
+        try:
+            fields["seed"] = int(os.environ["LST_SEED"])
+        except ValueError as exc:
+            raise InputError(f"LST_SEED must be an integer, got {os.environ['LST_SEED']!r}") from exc
     return TrainConfig(**fields)
 
 
@@ -83,18 +92,18 @@ def cmd_export_graph(args):
         fh.write(graph.to_json())
     if args.plan:
         if not args.target_model:
-            raise SystemExit("--plan requires --target-model")
+            raise InputError("--plan requires --target-model")
         target = Model.load(args.target_model)
         tgraph = pipeline.target_graph_from_corpus(target, corpus, config)
         if tgraph is None:
-            raise SystemExit("target graph is degenerate; no plan to export")
+            raise InputError("target graph is degenerate; no plan to export")
         gs = graph.subgraph(list(tgraph.labels))
         result = gromov_wasserstein(
             gs, tgraph, epsilon=config.epsilon,
             outer_iter=config.outer_iter, inner_iter=config.inner_iter, tol=config.gw_tol,
         )
         if result is None:
-            raise SystemExit("graphs degenerate; no plan to export")
+            raise InputError("graphs degenerate; no plan to export")
         with open(args.plan, "w", encoding="utf-8") as fh:
             fh.write(plan_to_csv(gs.labels, tgraph.labels, result.plan.matrix))
     print(json.dumps({"out": args.out, "plan": args.plan}))
@@ -112,7 +121,7 @@ def cmd_sweep(args):
 
 
 def cmd_synth(args):
-    spec = synth.SynthSpec.from_json(open(args.spec).read()) if args.spec else synth.SynthSpec()
+    spec = synth.SynthSpec.from_json(_read_text(args.spec)) if args.spec else synth.SynthSpec()
     task = synth.generate(spec)
     synth.write_task(task, args.out_dir)
     print(json.dumps({"out_dir": args.out_dir, "target_labels": sorted(spec.target_parents)}))
@@ -178,8 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None):
+    """Run one subcommand; bad input exits with status 2 and one stderr line."""
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (LabelTransferError, OSError) as exc:
+        print(f"labeltransfer: error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

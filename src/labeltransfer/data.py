@@ -6,16 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class ParseError(ValueError):
-    pass
-
-
-class InputError(ValueError):
-    pass
+from .errors import InputError, ParseError
 
 
 def entity_type(tag: str) -> str | None:
+    """Entity type of a BIO tag, or None for O."""
     if tag == "O":
         return None
     return tag[2:]
@@ -79,7 +74,10 @@ def _repair_tags(tags: list[str]) -> tuple[list[str], int]:
 def parse_conll(text: str | bytes) -> TaggedCorpus:
     """One token+tag per line, whitespace separated, blank line between sentences."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"corpus is not UTF-8: {exc}") from exc
     sentences = []
     repairs = 0
     cur_tokens: list[str] = []

@@ -19,13 +19,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import InputError
 from .labelgraph import LabelGraph
 
 UNK = "<unk>"
-
-
-class InputError(ValueError):
-    pass
 
 
 @dataclass

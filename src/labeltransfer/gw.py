@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericError, ShapeError, Tensor
+from .autodiff import Tensor
+from .errors import InputError, NumericError, ShapeError
 from .labelgraph import LabelGraph
 
 
@@ -48,23 +49,31 @@ def _check_distance_matrix(d: np.ndarray, name: str):
         raise NumericError(f"{name} contains non-finite values")
 
 
+def _loss_tensor(d_s: np.ndarray, d_t: np.ndarray) -> np.ndarray:
+    """L[i, j, i', j'] = |d_s[i, i'] - d_t[j, j']|, after validating both matrices."""
+    d_s = np.asarray(d_s, dtype=np.float64)
+    d_t = np.asarray(d_t, dtype=np.float64)
+    _check_distance_matrix(d_s, "d_s")
+    _check_distance_matrix(d_t, "d_t")
+    return np.abs(d_s[:, None, :, None] - d_t[None, :, None, :])
+
+
+def _objective(plan: np.ndarray, cost: np.ndarray) -> float:
+    """GW objective of ``plan`` given its own linearized cost."""
+    return float(np.einsum("ij,ij->", plan, cost))
+
+
 def structural_cost(d_s: np.ndarray, d_t: np.ndarray, plan: np.ndarray) -> np.ndarray:
     """Linearized GW cost at the current plan.
 
     C[i, j] = sum_{i', j'} plan[i', j'] * |d_s[i, i'] - d_t[j, j']|.
     """
-    d_s = np.asarray(d_s, dtype=np.float64)
-    d_t = np.asarray(d_t, dtype=np.float64)
-    _check_distance_matrix(d_s, "d_s")
-    _check_distance_matrix(d_t, "d_t")
-    # L[i, j, i', j'] = |d_s[i, i'] - d_t[j, j']|
-    L = np.abs(d_s[:, None, :, None] - d_t[None, :, None, :])
-    return np.einsum("ijkl,kl->ij", L, plan)
+    return np.einsum("ijkl,kl->ij", _loss_tensor(d_s, d_t), plan)
 
 
 def gw_objective(d_s: np.ndarray, d_t: np.ndarray, plan: np.ndarray) -> float:
-    L = np.abs(d_s[:, None, :, None] - d_t[None, :, None, :])
-    return float(np.einsum("ij,kl,ijkl->", plan, plan, L))
+    """sum_{i,j,i',j'} plan[i,j] plan[i',j'] |d_s[i,i'] - d_t[j,j']|."""
+    return _objective(plan, structural_cost(d_s, d_t, plan))
 
 
 def sinkhorn(
@@ -88,9 +97,9 @@ def sinkhorn(
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InputError("epsilon must be positive")
     if np.any(u <= 0) or np.any(v <= 0):
-        raise ValueError("marginals must be strictly positive")
+        raise InputError("marginals must be strictly positive")
     if not np.all(np.isfinite(cost)):
         raise NumericError("sinkhorn: non-finite cost")
     log_u = np.log(u)
@@ -118,8 +127,7 @@ def sinkhorn(
 
 
 def _gw_from_init(
-    d_s: np.ndarray,
-    d_t: np.ndarray,
+    L: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
     plan: np.ndarray,
@@ -131,36 +139,37 @@ def _gw_from_init(
 ) -> GwResult:
     f = g = None
     eps_now = max(1.0, epsilon) if anneal else epsilon
-    best_obj = gw_objective(d_s, d_t, plan)
+    # cost is always the linearization at plan, so <plan, cost> is plan's objective
+    cost = np.einsum("ijkl,kl->ij", L, plan)
+    value = best_obj = _objective(plan, cost)
     total_inner = 0
     converged = False
     monotone = True
     outer_done = 0
     for outer_done in range(1, outer_iter + 1):
-        cost = structural_cost(d_s, d_t, plan)
         tp, f, g, inner, _ = sinkhorn(
             cost, u, v, eps_now, max_iter=inner_iter, tol=min(tol, 1e-9), warm_f=f, warm_g=g
         )
         total_inner += inner
         new_plan = tp.matrix
-        obj = gw_objective(d_s, d_t, new_plan)
+        new_cost = np.einsum("ijkl,kl->ij", L, new_plan)
+        obj = _objective(new_plan, new_cost)
         at_target = eps_now <= epsilon * (1 + 1e-12)
         if at_target and obj > best_obj + 1e-9:
             monotone = False
             converged = False
             break
         change = np.abs(new_plan - plan).max()
-        plan = new_plan
+        plan, cost, value = new_plan, new_cost, obj
         best_obj = min(best_obj, obj) if at_target else obj
         if at_target and change < tol:
             converged = True
             break
         if not at_target:
             eps_now = max(epsilon, eps_now * 0.5)
-    result_plan = TransportPlan(plan, u, v)
     return GwResult(
-        value=gw_objective(d_s, d_t, plan),
-        plan=result_plan,
+        value=value,
+        plan=TransportPlan(plan, u, v),
         inner_iterations=total_inner,
         outer_iterations=outer_done,
         converged=converged,
@@ -193,23 +202,18 @@ def gromov_wasserstein_distances(
     ``restart_seed``) keep the best objective. The default of 0 runs the
     plain single-start solver.
     """
-    d_s = np.asarray(d_s, dtype=np.float64)
-    d_t = np.asarray(d_t, dtype=np.float64)
-    _check_distance_matrix(d_s, "d_s")
-    _check_distance_matrix(d_t, "d_t")
-    n, m = d_s.shape[0], d_t.shape[0]
+    L = _loss_tensor(d_s, d_t)
+    n, m = L.shape[:2]
     u = np.full(n, 1.0 / n)
     v = np.full(m, 1.0 / m)
-    best = _gw_from_init(
-        d_s, d_t, u, v, np.outer(u, v), epsilon, outer_iter, inner_iter, tol, anneal
-    )
+    best = _gw_from_init(L, u, v, np.outer(u, v), epsilon, outer_iter, inner_iter, tol, anneal)
     if restarts > 0:
         rng = np.random.default_rng(restart_seed)
         for _ in range(restarts):
             rand_cost = rng.uniform(size=(n, m))
             tp, *_ = sinkhorn(rand_cost, u, v, epsilon=0.1, max_iter=100)
             candidate = _gw_from_init(
-                d_s, d_t, u, v, tp.matrix, epsilon, outer_iter, inner_iter, tol, anneal
+                L, u, v, tp.matrix, epsilon, outer_iter, inner_iter, tol, anneal
             )
             if candidate.value < best.value:
                 best = candidate

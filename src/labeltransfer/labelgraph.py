@@ -15,11 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, pairwise_l2, softmax_rows
-
-
-class GraphInputError(ValueError):
-    """Invalid input for graph construction."""
+from .autodiff import Tensor, matmul, pairwise_distances, pairwise_l2, softmax_rows
+from .data import entity_type
+from .errors import GraphInputError
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,7 @@ class LabelGraph:
         return len(self.labels)
 
     def distance_matrix(self) -> np.ndarray:
-        diff = self.nodes[:, None, :] - self.nodes[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+        return pairwise_distances(self.nodes)
 
     def subgraph(self, labels: list[str]) -> "LabelGraph":
         """Renormalized graph restricted to `labels` (in the given order)."""
@@ -114,8 +111,7 @@ def normalize_nodes(raw: np.ndarray) -> NormalizedNodes:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise GraphInputError("normalize_nodes expects a non-empty 2-D array")
-    diff = raw[:, None, :] - raw[None, :, :]
-    total = float(np.sqrt((diff * diff).sum(axis=-1)).sum())
+    total = float(pairwise_distances(raw).sum())
     n = raw.shape[0]
     if total == 0.0:
         return NormalizedNodes(raw.copy(), 1.0, True)
@@ -126,8 +122,7 @@ def normalize_nodes(raw: np.ndarray) -> NormalizedNodes:
 def threshold_edges(nodes: np.ndarray, threshold: float) -> dict[tuple[int, int], float]:
     if threshold <= 0:
         raise GraphInputError("threshold must be positive")
-    diff = nodes[:, None, :] - nodes[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = pairwise_distances(nodes)
     edges = {}
     n = nodes.shape[0]
     for i in range(n):
@@ -158,13 +153,6 @@ def build_graph(rows, labels: list[str], threshold: float) -> LabelGraph:
 
 def graph_from_table(table: ConditionalTable, threshold: float) -> LabelGraph:
     return build_graph(table.rows, list(table.labels), threshold)
-
-
-def entity_type(tag: str) -> str | None:
-    """Entity type of a BIO tag, or None for O."""
-    if tag == "O":
-        return None
-    return tag[2:] if tag[:2] in ("B-", "I-") else tag
 
 
 def estimate_conditionals(model, corpus, temperature: float, label_set: list[str]) -> ConditionalTable:
@@ -210,13 +198,19 @@ class TargetGraphBatch(NamedTuple):
     """Differentiable per-batch target graph.
 
     ``nodes`` and ``distances`` are autodiff tensors (functions of the token
-    logits); ``graph`` is the detached snapshot used for export/inspection.
+    logits); ``graph`` is the detached snapshot used for export/inspection,
+    built from the pre-normalization rows ``raw`` only when read.
     """
 
     labels: tuple[str, ...]
     nodes: Tensor
     distances: Tensor
-    graph: LabelGraph
+    raw: np.ndarray
+    threshold: float
+
+    @property
+    def graph(self) -> LabelGraph:
+        return build_graph(self.raw, list(self.labels), self.threshold)
 
 
 def target_graph_from_batch(
@@ -246,8 +240,6 @@ def target_graph_from_batch(
     for li, label in enumerate(present):
         idx = [k for k, t in enumerate(gold_types) if t == label]
         sel[li, idx] = 1.0 / len(idx)
-    from .autodiff import matmul  # local import avoids cycle at module load
-
     raw = matmul(Tensor(sel), probs)
     dist_raw = pairwise_l2(raw)
     total = dist_raw.sum()
@@ -257,5 +249,4 @@ def target_graph_from_batch(
     scale = (n * n) / total
     nodes = raw * scale
     distances = dist_raw * scale
-    snapshot = build_graph(raw.data, present, threshold)
-    return TargetGraphBatch(tuple(present), nodes, distances, snapshot)
+    return TargetGraphBatch(tuple(present), nodes, distances, raw.data, threshold)

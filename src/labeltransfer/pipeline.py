@@ -22,12 +22,12 @@ import numpy as np
 from . import autodiff as ad
 from . import fusion as fu
 from .autodiff import Tensor
-from .data import InputError, TaggedCorpus, extract_spans, micro_f1
+from .data import TaggedCorpus, entity_type, extract_spans, micro_f1
+from .errors import InputError
 from .gw import gromov_wasserstein_distances, gw_fixed_plan_loss
 from .labelgraph import (
     LabelGraph,
     estimate_conditionals,
-    entity_type,
     graph_from_table,
     target_graph_from_batch,
 )
@@ -67,7 +67,12 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise InputError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(obj) - known
         if unknown:
@@ -208,6 +213,17 @@ class Model:
 
     @classmethod
     def load_bytes(cls, raw: bytes) -> "Model":
+        """Parse a checkpoint; any malformed input raises InputError."""
+        try:
+            return cls._parse_checkpoint(raw)
+        except InputError:
+            raise
+        # ValueError also covers json.JSONDecodeError and UnicodeDecodeError
+        except (struct.error, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed checkpoint: {exc}") from exc
+
+    @classmethod
+    def _parse_checkpoint(cls, raw: bytes) -> "Model":
         buf = io.BytesIO(raw)
         if buf.read(4) != MAGIC:
             raise InputError("not a checkpoint file")
@@ -226,11 +242,15 @@ class Model:
         for _ in range(nblocks):
             (nlen,) = struct.unpack("<H", buf.read(2))
             name = buf.read(nlen).decode("utf-8")
+            if name not in fu.ModelParams._ENCODER + fu.ModelParams._FUSION:
+                raise InputError(f"unknown parameter block {name!r}")
             (ndim,) = struct.unpack("<B", buf.read(1))
             shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(ndim))
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(buf.read(8 * count), dtype="<f8").reshape(shape).copy()
             setattr(params, name, Tensor(data, requires_grad=True))
+        if buf.read(1):
+            raise InputError("trailing bytes after the last parameter block")
         vocab = fu.Vocab(meta["vocab"])
         graph = _graph_from_meta(meta["source_graph"]) if meta["source_graph"] else None
         return cls(meta["kind"], params, vocab, meta["labels"], config, source_graph=graph)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TaggedCorpus
+from .errors import InputError
 
 
 @dataclass
@@ -56,11 +57,16 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"synth spec is not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise InputError("synth spec must be a JSON object")
         spec = cls()
         for key, value in obj.items():
             if not hasattr(spec, key):
-                raise ValueError(f"unknown synth spec field: {key}")
+                raise InputError(f"unknown synth spec field: {key}")
             current = getattr(spec, key)
             if isinstance(current, tuple):
                 value = tuple(value)

@@ -147,3 +147,46 @@ def test_ablation_flags_reach_config(workdir, capsys):
     capsys.readouterr()
     model = Model.load(str(workdir / "fused_ablate.ckpt"))
     assert model.config.ablate_gw and model.config.ablate_aux
+
+
+def _assert_one_line_error(capsys, exc_info):
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("labeltransfer: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_evaluate_truncated_checkpoint_exits_2(workdir, capsys):
+    raw = (workdir / "fused.ckpt").read_bytes()
+    (workdir / "truncated.ckpt").write_bytes(raw[:-5])
+    with pytest.raises(SystemExit) as exc_info:
+        main([
+            "evaluate",
+            "--model", str(workdir / "truncated.ckpt"),
+            "--test", str(workdir / "data" / "target_test.conll"),
+        ])
+    _assert_one_line_error(capsys, exc_info)
+
+
+def test_non_integer_seed_env_exits_2(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("LST_SEED", "abc")
+    with pytest.raises(SystemExit) as exc_info:
+        main([
+            "train-source",
+            "--train", str(workdir / "data" / "source_train.conll"),
+            "--out", str(workdir / "never.ckpt"),
+        ])
+    _assert_one_line_error(capsys, exc_info)
+    assert not (workdir / "never.ckpt").exists()
+
+
+def test_malformed_config_json_exits_2(workdir, capsys):
+    (workdir / "broken.json").write_text('{"epochs": 2,')
+    with pytest.raises(SystemExit) as exc_info:
+        main([
+            "train-source",
+            "--train", str(workdir / "data" / "source_train.conll"),
+            "--config", str(workdir / "broken.json"),
+            "--out", str(workdir / "never.ckpt"),
+        ])
+    _assert_one_line_error(capsys, exc_info)

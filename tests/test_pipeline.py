@@ -1,5 +1,8 @@
 """Training pipeline: source tagger, graph freezing, fine-tuning, sweeps, I/O."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,37 @@ def test_checkpoint_rejects_bad_magic_and_version(f0):
         Model.load_bytes(b"XXXX" + raw[4:])
     with pytest.raises(InputError):
         Model.load_bytes(raw[:4] + bytes([99]) + raw[5:])
+
+
+def _with_unknown_config_field(raw: bytes) -> bytes:
+    (mlen,) = struct.unpack("<I", raw[5:9])
+    meta = json.loads(raw[9 : 9 + mlen])
+    meta["config"]["bogus"] = 1
+    blob = json.dumps(meta).encode("utf-8")
+    return raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + mlen :]
+
+
+def _with_flipped_block_name(raw: bytes) -> bytes:
+    (mlen,) = struct.unpack("<I", raw[5:9])
+    at = 9 + mlen + 4 + 2  # block count, then the first name's length
+    return raw[:at] + bytes([raw[at] ^ 0x20]) + raw[at + 1 :]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: raw[:7],  # inside the metadata length
+        lambda raw: raw[:40],  # inside the metadata JSON
+        lambda raw: raw[:-5],  # inside the last tensor
+        lambda raw: raw + b"\x00",  # trailing byte
+        _with_unknown_config_field,
+        _with_flipped_block_name,
+    ],
+    ids=["cut7", "cut40", "cut_tail", "trailing_byte", "unknown_config_field", "block_name_flip"],
+)
+def test_checkpoint_rejects_malformed(f0, corrupt):
+    with pytest.raises(InputError):
+        Model.load_bytes(corrupt(f0.save_bytes()))
 
 
 # -- aggregation / sweeps -----------------------------------------------------------------------
