@@ -15,46 +15,15 @@ import numpy as np
 
 from labeltransfer.data import greedy_sample
 from labeltransfer.pipeline import TrainConfig, evaluate, finetune, train_source
-from labeltransfer.synth import SynthSpec, generate
-
-# graded vocabulary mixtures: sibling subtypes lean toward the same coarse
-# label with different strengths, so the source model's score geometry
-# carries usable structure
-MIX = {
-    "L1A": {"L1": 0.85, "L2": 0.15},
-    "L1B": {"L1": 0.65, "L2": 0.35},
-    "L2A": {"L1": 0.35, "L2": 0.65},
-    "L2B": {"L1": 0.15, "L2": 0.85},
-}
+from labeltransfer.synth import TRANSFER_CONFIG, TRANSFER_MIX, TRANSFER_SPEC, SynthSpec, generate
 
 
 def build_spec(seed: int) -> SynthSpec:
-    return SynthSpec(
-        seed=seed,
-        target_mixtures=MIX,
-        cue_prob=0.9,
-        cue_scheme="split",
-        sentence_length=(8, 14),
-        entities_per_sentence=(1, 2),
-        entity_length=(1, 1),
-        distractor_prob=0.1,
-        source_sentences=200,
-        target_test_sentences=300,
-    )
+    return SynthSpec(seed=seed, target_mixtures=TRANSFER_MIX, **TRANSFER_SPEC)
 
 
 def build_config(seed: int) -> TrainConfig:
-    return TrainConfig(
-        seed=seed,
-        learning_rate=0.3,
-        epochs=80,
-        batch_size=8,
-        temperature=2.0,
-        lambda1=2.0,
-        lambda2=0.02,
-        inner_iter=50,
-        outer_iter=10,
-    )
+    return TrainConfig(seed=seed, **TRANSFER_CONFIG)
 
 
 def main():

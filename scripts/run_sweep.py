@@ -11,13 +11,13 @@ import argparse
 import sys
 
 from labeltransfer.data import greedy_sample
-from labeltransfer.pipeline import TrainConfig, sweep, train_source
+from labeltransfer.pipeline import SWEEP_PARAMS, TrainConfig, sweep, train_source
 from labeltransfer.synth import SynthSpec, generate
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--param", required=True, choices=["T", "delta", "lambda1", "lambda2"])
+    parser.add_argument("--param", required=True, choices=sorted(SWEEP_PARAMS))
     parser.add_argument("--values", required=True, help="comma-separated values")
     parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--k", type=int, default=20)

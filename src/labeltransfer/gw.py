@@ -186,7 +186,6 @@ def gromov_wasserstein_distances(
     tol: float = 1e-6,
     anneal: bool = True,
     restarts: int = 0,
-    restart_seed: int = 0,
 ) -> GwResult:
     """Entropic GW between two precomputed distance matrices.
 
@@ -198,8 +197,8 @@ def gromov_wasserstein_distances(
     a violation halts the solver with the previous (better) plan.
 
     The linearized fixed point can land in a local optimum; ``restarts``
-    additional runs from random feasible plans (deterministic given
-    ``restart_seed``) keep the best objective. The default of 0 runs the
+    additional runs from random feasible plans (drawn from a fixed seed, so
+    deterministic) keep the best objective. The default of 0 runs the
     plain single-start solver.
     """
     L = _loss_tensor(d_s, d_t)
@@ -208,7 +207,7 @@ def gromov_wasserstein_distances(
     v = np.full(m, 1.0 / m)
     best = _gw_from_init(L, u, v, np.outer(u, v), epsilon, outer_iter, inner_iter, tol, anneal)
     if restarts > 0:
-        rng = np.random.default_rng(restart_seed)
+        rng = np.random.default_rng(0)
         for _ in range(restarts):
             rand_cost = rng.uniform(size=(n, m))
             tp, *_ = sinkhorn(rand_cost, u, v, epsilon=0.1, max_iter=100)
@@ -228,7 +227,6 @@ def gromov_wasserstein(
     inner_iter: int = 200,
     tol: float = 1e-6,
     anneal: bool = True,
-    restarts: int = 0,
 ) -> GwResult | None:
     """GW distance between two label graphs; None when a graph is degenerate."""
     if gs.degenerate or gt.degenerate or gs.n < 2 or gt.n < 2:
@@ -241,7 +239,6 @@ def gromov_wasserstein(
         inner_iter=inner_iter,
         tol=tol,
         anneal=anneal,
-        restarts=restarts,
     )
 
 

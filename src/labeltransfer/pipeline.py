@@ -14,8 +14,10 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import numbers
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .errors import InputError
 from .gw import gromov_wasserstein_distances, gw_fixed_plan_loss
 from .labelgraph import (
     LabelGraph,
+    build_graph,
     estimate_conditionals,
     graph_from_table,
     target_graph_from_batch,
@@ -34,6 +37,17 @@ from .labelgraph import (
 
 MAGIC = b"LTCK"
 FORMAT_VERSION = 1
+
+
+# TrainConfig field annotation -> accepted values; bool is an int subclass,
+# so the numeric fields exclude it
+_FIELD_CHECKS = {
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+}
 
 
 @dataclass(frozen=True)
@@ -58,6 +72,10 @@ class TrainConfig:
     embedding_file: str | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _FIELD_CHECKS[f.type](value):
+                raise InputError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.temperature <= 0 or self.edge_threshold <= 0:
             raise InputError("temperature and edge_threshold must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -97,25 +115,17 @@ def _tag_groups(labels, tags) -> list[list[int]]:
 
 
 def _graph_to_meta(graph: LabelGraph) -> dict:
+    """The inputs of `build_graph`; nodes, edges and the degenerate flag follow."""
     return {
         "labels": list(graph.labels),
-        "nodes": [list(map(float, row)) for row in graph.nodes],
         "raw_nodes": [list(map(float, row)) for row in graph.raw_nodes],
-        "edges": [[i, j, float(w)] for (i, j), w in sorted(graph.edges.items())],
         "threshold": graph.threshold,
-        "degenerate": graph.degenerate,
     }
 
 
 def _graph_from_meta(obj: dict) -> LabelGraph:
-    return LabelGraph(
-        labels=tuple(obj["labels"]),
-        nodes=np.asarray(obj["nodes"], dtype=np.float64),
-        raw_nodes=np.asarray(obj["raw_nodes"], dtype=np.float64),
-        edges={(i, j): w for i, j, w in obj["edges"]},
-        threshold=obj["threshold"],
-        degenerate=obj["degenerate"],
-    )
+    # older checkpoints also hold nodes, edges and degenerate; the rebuild ignores them
+    return build_graph(obj["raw_nodes"], list(obj["labels"]), obj["threshold"])
 
 
 class Model:
@@ -167,8 +177,7 @@ class Model:
 
     def type_logits(self, tokens) -> np.ndarray:
         """Per-token entity-type logits: log-sum-exp over each type's B/I tags."""
-        logits, _ = self.forward(tokens)
-        return ad.logsumexp_cols(logits, self._groups).data
+        return self.type_logits_tensor(self.forward(tokens)[0]).data
 
     def type_logits_tensor(self, tag_logit_tensor: Tensor) -> Tensor:
         return ad.logsumexp_cols(tag_logit_tensor, self._groups)
@@ -270,15 +279,103 @@ def _sgd_step(params: fu.ModelParams, lr: float, clip: float = 5.0):
         tensor.grad = None
 
 
-def _zero_grads(params: fu.ModelParams):
-    for tensor in params.trainable():
-        tensor.grad = None
+class _SentenceTargets(NamedTuple):
+    """One training sentence with its fixed targets, resolved once per run."""
+
+    tokens: tuple[str, ...]
+    tag_ids: np.ndarray  # gold tag id per token
+    entity_rows: np.ndarray  # positions of the tokens with a gold entity type
+    entity_types: tuple[str, ...]  # the gold type of each of those tokens
+    present: np.ndarray  # multi-hot entity types of the sentence
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def _sentence_targets(model: Model, corpus: TaggedCorpus) -> list[_SentenceTargets]:
+    tag_index = {t: i for i, t in enumerate(model.tags)}
+    out = []
+    for tokens, tags in corpus.sentences:
+        rows = [k for k, t in enumerate(tags) if entity_type(t) is not None]
+        types = tuple(entity_type(tags[k]) for k in rows)
+        tag_ids = np.array([tag_index[t] for t in tags], dtype=np.intp)
+        present = np.array([float(l in types) for l in model.labels])
+        out.append(_SentenceTargets(tokens, tag_ids, np.array(rows, dtype=np.intp), types, present))
+    return out
+
+
+def _train(model: Model, corpus: TaggedCorpus, config: TrainConfig, rng: np.random.Generator):
+    """Mini-batch SGD on `corpus`; yields (loss means, GW skips) after each epoch.
+
+    Each batch minimizes the token-weighted tag loss. A fused model adds
+    lambda1 * aux and lambda2 * gw unless a term is ablated or weighted to
+    zero; a batch whose target graph is degenerate skips the GW term.
+    """
+    fused = model.kind == "fused"
+    aux_on = fused and not config.ablate_aux and config.lambda1 > 0
+    gw_on = fused and not config.ablate_gw and config.lambda2 > 0
+    targets = _sentence_targets(model, corpus)
+    for _ in range(config.epochs):
+        batch_losses = []  # (cls, aux, gw, total) per batch
+        gw_skips = 0
+        order = rng.permutation(len(targets))
+        for start in range(0, len(order), config.batch_size):
+            cls_losses, weights, aux_losses = [], [], []
+            batch_type_logits, batch_gold_types = [], []
+            for si in order[start : start + config.batch_size]:
+                sent = targets[si]
+                logits, trace = model.forward(sent.tokens)
+                cls_losses.append(fu.classification_loss_from_logits(logits, sent.tag_ids))
+                weights.append(len(sent.tokens))
+                if aux_on:
+                    aux_losses.append(fu.auxiliary_loss(trace.h_prime, sent.present, model.params))
+                if gw_on and len(sent.entity_rows):
+                    tl = model.type_logits_tensor(logits)
+                    batch_type_logits.append(ad.rows_select(tl, sent.entity_rows))
+                    batch_gold_types.extend(sent.entity_types)
+            total_tokens = float(sum(weights))
+            cls_loss = sum((w / total_tokens) * l for w, l in zip(weights, cls_losses))
+            loss = cls_loss
+            aux_val = 0.0
+            if aux_on:
+                aux_loss = sum(aux_losses) / float(len(aux_losses))
+                loss = loss + config.lambda1 * aux_loss
+                aux_val = aux_loss.item()
+            gw_val = 0.0
+            if gw_on:
+                gw_term = _batch_gw_term(model.source_graph, batch_type_logits, batch_gold_types, config)
+                if gw_term is None:
+                    gw_skips += 1
+                else:
+                    loss = loss + config.lambda2 * gw_term
+                    gw_val = gw_term.item()
+            loss.backward()
+            _sgd_step(model.params, config.learning_rate)
+            batch_losses.append((cls_loss.item(), aux_val, gw_val, loss.item()))
+        columns = zip(("cls", "aux", "gw", "total"), zip(*batch_losses))
+        yield {name: float(np.mean(values)) for name, values in columns}, gw_skips
+
+
+def _batch_gw_term(ds_full, batch_type_logits, gold_types, config):
+    """Envelope GW loss for one batch, or None (skip) when degenerate."""
+    if not batch_type_logits:
+        return None
+    tgb = target_graph_from_batch(
+        ad.concat_rows(batch_type_logits), gold_types, config.temperature, config.edge_threshold
+    )
+    if tgb is None:
+        return None
+    gs_sub = ds_full.subgraph(list(tgb.labels))
+    if gs_sub.degenerate:
+        return None
+    d_s = gs_sub.distance_matrix()
+    result = gromov_wasserstein_distances(
+        d_s,
+        tgb.distances.data,
+        epsilon=config.epsilon,
+        outer_iter=config.outer_iter,
+        inner_iter=config.inner_iter,
+        tol=config.gw_tol,
+        anneal=False,  # per-step loss: speed over plan sharpness
+    )
+    return gw_fixed_plan_loss(tgb.distances, d_s, result.plan.matrix)
 
 
 def train_source(corpus: TaggedCorpus, config: TrainConfig) -> Model:
@@ -287,11 +384,10 @@ def train_source(corpus: TaggedCorpus, config: TrainConfig) -> Model:
         raise InputError("empty corpus")
     labels = corpus.label_set
     tags = tags_for(labels)
-    tag_index = {t: i for i, t in enumerate(tags)}
     vocab = fu.Vocab()
     for _, _, tok, _ in corpus.tokens():
         vocab.add(tok)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)  # initialization, then batch order
     params = fu.ModelParams(
         d_h=config.d_h, d_p=config.d_p, n_types=len(labels),
         n_tags=len(tags), encoder_mode=config.encoder_mode,
@@ -301,23 +397,8 @@ def train_source(corpus: TaggedCorpus, config: TrainConfig) -> Model:
     params.cls_w = fu._uniform(rng, (config.d_h, len(tags)), 1.0 / np.sqrt(config.d_h))
     params.cls_b = Tensor(np.zeros((1, len(tags))), requires_grad=True)
     model = Model("source", params, vocab, labels, config)
-
-    sentences = corpus.sentences
-    for _ in range(config.epochs):
-        for batch in _batches(len(sentences), config.batch_size, rng):
-            _zero_grads(params)
-            losses = []
-            weights = []
-            for si in batch:
-                tokens, sent_tags = sentences[si]
-                logits, _ = model.forward(tokens)
-                ids = [tag_index[t] for t in sent_tags]
-                losses.append(fu.classification_loss_from_logits(logits, ids))
-                weights.append(len(tokens))
-            total = sum(w for w in weights)
-            loss = sum((w / total) * l for w, l in zip(weights, losses))
-            loss.backward()
-            _sgd_step(params, config.learning_rate)
+    for _ in _train(model, corpus, config, rng):
+        pass
     return model
 
 
@@ -362,128 +443,24 @@ def finetune(f0: Model, corpus_t: TaggedCorpus, config: TrainConfig):
     if not corpus_t.label_set:
         raise InputError("target corpus has no entity labels")
     model = _init_finetune_model(f0, corpus_t, config)
-    params = model.params
-    tag_index = {t: i for i, t in enumerate(model.tags)}
-    label_index = {l: i for i, l in enumerate(model.labels)}
-    ds_full = model.source_graph
     rng = np.random.default_rng(config.seed + 1)  # training order stream
-    sentences = corpus_t.sentences
-    aux_on = (not config.ablate_aux) and config.lambda1 > 0
-    gw_on = (not config.ablate_gw) and config.lambda2 > 0
     log = []
-    for epoch in range(config.epochs):
-        epoch_cls, epoch_aux, epoch_gw, epoch_total = [], [], [], []
-        gw_skips = 0
-        for batch in _batches(len(sentences), config.batch_size, rng):
-            _zero_grads(params)
-            cls_losses, weights, aux_losses = [], [], []
-            batch_type_logits, batch_gold_types = [], []
-            for si in batch:
-                tokens, sent_tags = sentences[si]
-                logits, trace = model.forward(tokens)
-                ids = [tag_index[t] for t in sent_tags]
-                cls_losses.append(fu.classification_loss_from_logits(logits, ids))
-                weights.append(len(tokens))
-                if aux_on:
-                    present = np.zeros(len(model.labels))
-                    for t in sent_tags:
-                        et = entity_type(t)
-                        if et is not None:
-                            present[label_index[et]] = 1.0
-                    aux_losses.append(fu.auxiliary_loss(trace.h_prime, present, params))
-                if gw_on:
-                    types = [entity_type(t) for t in sent_tags]
-                    ent = [k for k, t in enumerate(types) if t is not None]
-                    if ent:
-                        tl = model.type_logits_tensor(logits)
-                        # keep only entity-token rows
-                        sel = np.zeros((len(ent), len(tokens)))
-                        sel[np.arange(len(ent)), ent] = 1.0
-                        batch_type_logits.append(ad.matmul(Tensor(sel), tl))
-                        batch_gold_types.extend(types[k] for k in ent)
-            total_tokens = float(sum(weights))
-            cls_loss = sum((w / total_tokens) * l for w, l in zip(weights, cls_losses))
-            loss = cls_loss
-            aux_val = 0.0
-            if aux_on:
-                aux_loss = sum(aux_losses) / float(len(aux_losses))
-                loss = loss + config.lambda1 * aux_loss
-                aux_val = aux_loss.item()
-            gw_val = 0.0
-            if gw_on:
-                gw_term = _batch_gw_term(model, ds_full, batch_type_logits, batch_gold_types, config)
-                if gw_term is None:
-                    gw_skips += 1
-                else:
-                    loss = loss + config.lambda2 * gw_term
-                    gw_val = gw_term.item()
-            loss.backward()
-            _sgd_step(params, config.learning_rate)
-            epoch_cls.append(cls_loss.item())
-            epoch_aux.append(aux_val)
-            epoch_gw.append(gw_val)
-            epoch_total.append(loss.item())
+    for epoch, (means, gw_skips) in enumerate(_train(model, corpus_t, config, rng)):
         _, _, train_f1 = evaluate(model, corpus_t)
-        log.append(
-            {
-                "epoch": epoch,
-                "cls": float(np.mean(epoch_cls)),
-                "aux": float(np.mean(epoch_aux)),
-                "gw": float(np.mean(epoch_gw)),
-                "total": float(np.mean(epoch_total)),
-                "train_f1": train_f1,
-                "gw_skips": gw_skips,
-            }
-        )
+        log.append({"epoch": epoch, **means, "train_f1": train_f1, "gw_skips": gw_skips})
     return model, log
 
 
-def _batch_gw_term(model, ds_full, batch_type_logits, gold_types, config):
-    """Envelope GW loss for one batch, or None (skip) when degenerate."""
-    if not batch_type_logits:
-        return None
-    type_logits = (
-        batch_type_logits[0]
-        if len(batch_type_logits) == 1
-        else ad.concat_rows(batch_type_logits)
-    )
-    tgb = target_graph_from_batch(
-        type_logits, list(gold_types), config.temperature, config.edge_threshold
-    )
-    if tgb is None:
-        return None
-    gs_sub = ds_full.subgraph(list(tgb.labels))
-    if gs_sub.degenerate:
-        return None
-    d_s = gs_sub.distance_matrix()
-    result = gromov_wasserstein_distances(
-        d_s,
-        tgb.distances.data,
-        epsilon=config.epsilon,
-        outer_iter=config.outer_iter,
-        inner_iter=config.inner_iter,
-        tol=config.gw_tol,
-        anneal=False,  # per-step loss: speed over plan sharpness
-    )
-    return gw_fixed_plan_loss(tgb.distances, d_s, result.plan.matrix)
-
-
 def target_graph_from_corpus(model: Model, corpus: TaggedCorpus, config: TrainConfig):
-    """Detached target graph over a whole corpus (for export/inspection)."""
-    logits_rows, gold_types = [], []
-    for tokens, sent_tags in corpus.sentences:
-        tl = model.type_logits(tokens)
-        for k, tag in enumerate(sent_tags):
-            et = entity_type(tag)
-            if et is not None:
-                logits_rows.append(tl[k])
-                gold_types.append(et)
-    if len(set(gold_types)) < 2:
+    """Detached target graph over a whole corpus (for export/inspection).
+
+    The source-graph construction run on the target model: None when the
+    corpus has fewer than 2 entity types or the graph is degenerate.
+    """
+    if len(corpus.label_set) < 2:
         return None
-    tgb = target_graph_from_batch(
-        Tensor(np.stack(logits_rows)), gold_types, config.temperature, config.edge_threshold
-    )
-    return tgb.graph if tgb is not None else None
+    graph = build_source_graph(model, corpus, config)
+    return None if graph.degenerate else graph
 
 
 def evaluate(model: Model, corpus: TaggedCorpus):

@@ -218,3 +218,27 @@ def write_task(task: SynthTask, out_dir: str):
     for name in ("source_train", "source_test", "target_train", "target_test"):
         with open(os.path.join(out_dir, f"{name}.conll"), "w", encoding="utf-8") as fh:
             fh.write(getattr(task, name).to_conll())
+
+
+# The transfer experiment of the acceptance gate and scripts/run_ablation.py.
+# Graded vocabulary mixtures: sibling subtypes lean toward the same coarse
+# label with different strengths, so the source model's score geometry
+# carries usable structure.
+TRANSFER_MIX = {
+    "L1A": {"L1": 0.85, "L2": 0.15},
+    "L1B": {"L1": 0.65, "L2": 0.35},
+    "L2A": {"L1": 0.35, "L2": 0.65},
+    "L2B": {"L1": 0.15, "L2": 0.85},
+}
+
+# SynthSpec fields besides seed and target_mixtures
+TRANSFER_SPEC = dict(
+    cue_prob=0.9, cue_scheme="split", sentence_length=(8, 14), entities_per_sentence=(1, 2),
+    entity_length=(1, 1), distractor_prob=0.1, source_sentences=200, target_test_sentences=300,
+)
+
+# pipeline.TrainConfig fields besides seed
+TRANSFER_CONFIG = dict(
+    learning_rate=0.3, epochs=80, batch_size=8, temperature=2.0, lambda1=2.0, lambda2=0.02,
+    inner_iter=50, outer_iter=10,
+)

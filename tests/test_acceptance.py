@@ -42,7 +42,8 @@ from labeltransfer.pipeline import (
     sweep,
     train_source,
 )
-from labeltransfer.synth import SynthSpec, generate
+from labeltransfer.synth import TRANSFER_CONFIG, TRANSFER_SPEC, SynthSpec, generate
+from labeltransfer.synth import TRANSFER_MIX as MIX  # the gate's name, read by perfbench
 
 
 def random_distance_matrix(rng, n):
@@ -295,36 +296,6 @@ def test_sampler_quota_and_scarce_type():
 
 
 # 7. synthetic cross-domain transfer with ablations ------------------------------------------
-
-
-MIX = {
-    "L1A": {"L1": 0.85, "L2": 0.15},
-    "L1B": {"L1": 0.65, "L2": 0.35},
-    "L2A": {"L1": 0.35, "L2": 0.65},
-    "L2B": {"L1": 0.15, "L2": 0.85},
-}
-
-TRANSFER_SPEC = dict(
-    cue_prob=0.9,
-    cue_scheme="split",
-    sentence_length=(8, 14),
-    entities_per_sentence=(1, 2),
-    entity_length=(1, 1),
-    distractor_prob=0.1,
-    source_sentences=200,
-    target_test_sentences=300,
-)
-
-TRANSFER_CONFIG = dict(
-    learning_rate=0.3,
-    epochs=80,
-    batch_size=8,
-    temperature=2.0,
-    lambda1=2.0,
-    lambda2=0.02,
-    inner_iter=50,
-    outer_iter=10,
-)
 
 
 def test_synthetic_transfer_ablation():

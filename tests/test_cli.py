@@ -180,8 +180,19 @@ def test_non_integer_seed_env_exits_2(workdir, capsys, monkeypatch):
     assert not (workdir / "never.ckpt").exists()
 
 
-def test_malformed_config_json_exits_2(workdir, capsys):
-    (workdir / "broken.json").write_text('{"epochs": 2,')
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"epochs": 2,',
+        '{"temperature": "x"}',
+        '{"epochs": "x"}',
+        '{"d_h": 2.5}',
+        '{"ablate_gw": "no"}',
+    ],
+    ids=["truncated", "str_temperature", "str_epochs", "float_d_h", "str_ablate_gw"],
+)
+def test_malformed_config_json_exits_2(workdir, capsys, text):
+    (workdir / "broken.json").write_text(text)
     with pytest.raises(SystemExit) as exc_info:
         main([
             "train-source",

@@ -62,6 +62,26 @@ def test_config_json_round_trip_and_unknown_field():
     assert again == cfg
     with pytest.raises(InputError):
         TrainConfig.from_json('{"nonsense": 1}')
+    # a float field takes an integer, a path field takes null
+    cfg = TrainConfig.from_json('{"temperature": 2, "embedding_file": null}')
+    assert cfg.temperature == 2 and cfg.embedding_file is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"temperature": "x"}',
+        '{"epochs": "x"}',
+        '{"d_h": 2.5}',
+        '{"seed": true}',
+        '{"ablate_gw": "no"}',
+        '{"embedding_file": 3}',
+    ],
+    ids=["str_float", "str_int", "float_int", "bool_int", "str_bool", "int_path"],
+)
+def test_config_rejects_wrong_field_types(text):
+    with pytest.raises(InputError):
+        TrainConfig.from_json(text)
 
 
 def test_tags_for_layout():
@@ -223,12 +243,17 @@ def test_checkpoint_rejects_bad_magic_and_version(f0):
         Model.load_bytes(raw[:4] + bytes([99]) + raw[5:])
 
 
-def _with_unknown_config_field(raw: bytes) -> bytes:
+def _with_meta(raw: bytes, edit) -> bytes:
+    """The checkpoint with its metadata JSON passed through ``edit``."""
     (mlen,) = struct.unpack("<I", raw[5:9])
     meta = json.loads(raw[9 : 9 + mlen])
-    meta["config"]["bogus"] = 1
+    edit(meta)
     blob = json.dumps(meta).encode("utf-8")
     return raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + mlen :]
+
+
+def _with_unknown_config_field(raw: bytes) -> bytes:
+    return _with_meta(raw, lambda meta: meta["config"].update(bogus=1))
 
 
 def _with_flipped_block_name(raw: bytes) -> bytes:
@@ -252,6 +277,30 @@ def _with_flipped_block_name(raw: bytes) -> bytes:
 def test_checkpoint_rejects_malformed(f0, corrupt):
     with pytest.raises(InputError):
         Model.load_bytes(corrupt(f0.save_bytes()))
+
+
+def test_checkpoint_stores_graph_inputs_and_loads_older_layout(task, f0):
+    cfg = TrainConfig(d_h=16, d_p=8, epochs=1, learning_rate=0.1, seed=0)
+    model, _ = finetune(f0, task.target_train, cfg)
+    graph = model.source_graph
+    raw = model.save_bytes()
+    (mlen,) = struct.unpack("<I", raw[5:9])
+    assert set(json.loads(raw[9 : 9 + mlen])["source_graph"]) == {"labels", "raw_nodes", "threshold"}
+
+    def older_layout(meta):
+        # earlier checkpoints also stored the derived nodes, edges and flag
+        meta["source_graph"].update(
+            nodes=[list(map(float, row)) for row in graph.nodes],
+            edges=[[i, j, float(w)] for (i, j), w in sorted(graph.edges.items())],
+            degenerate=graph.degenerate,
+        )
+
+    for blob in (raw, _with_meta(raw, older_layout)):
+        loaded = Model.load_bytes(blob).source_graph
+        assert loaded.labels == graph.labels and loaded.threshold == graph.threshold
+        np.testing.assert_array_equal(loaded.nodes, graph.nodes)
+        np.testing.assert_array_equal(loaded.raw_nodes, graph.raw_nodes)
+        assert loaded.edges == graph.edges and loaded.degenerate == graph.degenerate
 
 
 # -- aggregation / sweeps -----------------------------------------------------------------------
