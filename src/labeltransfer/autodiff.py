@@ -2,17 +2,35 @@
 
 Every operation records a backward closure on the enclosing graph; calling
 ``backward()`` on a scalar output accumulates gradients into every reachable
-tensor with ``requires_grad=True``. The op set is deliberately small: just
+tensor with ``requires_grad=True``. Inside ``with no_grad():`` operations
+record nothing, for inference. The op set is deliberately small: just
 what the fusion network, the losses, and the graph-matching term need.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericError, ShapeError
+
+
+# False inside no_grad(): Tensor._make then links no parents or backward closure
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape in the block: op results are plain constants."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 def _as_array(x) -> np.ndarray:
@@ -59,7 +77,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -2,9 +2,12 @@
 
 The structural cost compares intra-graph node distances with an absolute
 difference; the solver alternates linearization of the quadratic objective
-with log-domain Sinkhorn projections onto the transport polytope. For the
-training loss the plan is held fixed (envelope treatment) and gradients flow
-only through the target-graph distances.
+with Sinkhorn projections onto the transport polytope (Peyre, Cuturi &
+Solomon, ICML 2016). Each projection runs in the scaling domain on a kernel
+that absorbs the warm-start potentials, and falls back to the log domain
+when epsilon is too small for float64 scalings. For the training loss the
+plan is held fixed (envelope treatment) and gradients flow only through the
+target-graph distances.
 """
 
 from __future__ import annotations
@@ -76,6 +79,16 @@ def gw_objective(d_s: np.ndarray, d_t: np.ndarray, plan: np.ndarray) -> float:
     return _objective(plan, structural_cost(d_s, d_t, plan))
 
 
+# Largest exponent spread max - min of the absorbed kernel exp((f + g - C) / eps)
+# that the scaling loop accepts. float64 exp() over- and underflows past about
+# +-709, and a scaling can grow to about exp(spread) while it multiplies kernel
+# entries as small as exp(-spread), so products reach exp(-2 * spread): 250
+# keeps them normal, with room for the marginals' own factors.
+_MAX_KERNEL_SPREAD = 250.0
+# The scaling loop checks the row marginal this often (and on its last step).
+_CHECK_EVERY = 10
+
+
 def sinkhorn(
     cost: np.ndarray,
     u: np.ndarray,
@@ -86,33 +99,82 @@ def sinkhorn(
     warm_f: np.ndarray | None = None,
     warm_g: np.ndarray | None = None,
 ):
-    """Log-domain Sinkhorn for entropic OT with marginals (u, v).
+    """Sinkhorn for entropic OT with marginals (u, v), from potentials (f, g).
 
-    Returns (TransportPlan, potentials f, g, iterations, converged). The
-    iteration alternates exact row and column scalings of
-    exp((f_i + g_j - C_ij) / epsilon); after a row update the row marginals
-    hold exactly, so convergence is judged on the column violation.
+    Returns (TransportPlan, potentials f, g, iterations, converged); the plan
+    is exp((f_i + g_j - C_ij) / epsilon). Convergence is judged on the row
+    marginal error against ``tol``.
+
+    The potentials are absorbed into one kernel, after which each iteration
+    rescales it in the scaling domain (Schmitzer 2019, "Stabilized sparse
+    scaling algorithms for entropy regularized transport problems"). When
+    the kernel's exponent spread exceeds ``_MAX_KERNEL_SPREAD`` (small
+    epsilon), or a scaling leaves the positive finite range, the call runs
+    the log-domain iteration instead.
     """
     cost = np.asarray(cost, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
+    if max_iter < 1:
+        raise InputError("max_iter must be at least 1")
     if np.any(u <= 0) or np.any(v <= 0):
         raise InputError("marginals must be strictly positive")
     if not np.all(np.isfinite(cost)):
         raise NumericError("sinkhorn: non-finite cost")
+    f = np.zeros(cost.shape[0]) if warm_f is None else warm_f
+    g = np.zeros(cost.shape[1]) if warm_g is None else warm_g
+    out = _sinkhorn_scaling(cost, u, v, epsilon, max_iter, tol, f, g)
+    if out is None:
+        out = _sinkhorn_log(cost, u, v, epsilon, max_iter, tol, f, g)
+    plan, f, g, it, converged = out
+    return TransportPlan(plan, u.copy(), v.copy()), f, g, it, converged
+
+
+def _sinkhorn_scaling(cost, u, v, epsilon, max_iter, tol, f, g):
+    """Scaling-domain Sinkhorn; None when the kernel or a scaling is unsafe.
+
+    K = exp((f_i + g_j - C_ij) / epsilon - top) is built once; the plan is
+    diag(a) K diag(b), updated by a = u / (K b) and b = v / (K^T a), so the
+    returned potentials are f + epsilon (log a - top) and g + epsilon log b.
+    """
+    z = (f[:, None] + g[None, :] - cost) / epsilon
+    top = z.max()
+    if top - z.min() > _MAX_KERNEL_SPREAD:
+        return None
+    K = np.exp(z - top)
+    b = np.ones(cost.shape[1])
+    converged = False
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            a = u / (K @ b)
+            b = v / (a @ K)
+            # column marginals hold exactly after the b update; check rows
+            if it % _CHECK_EVERY == 0 or it == max_iter:
+                row_err = np.abs(a * (K @ b) - u).max()
+                if row_err < tol:
+                    converged = True
+                    break
+                if not np.isfinite(row_err):
+                    return None
+        f = f + epsilon * (np.log(a) - top)
+        g = g + epsilon * np.log(b)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+        return None
+    return a[:, None] * K * b[None, :], f, g, it, converged
+
+
+def _sinkhorn_log(cost, u, v, epsilon, max_iter, tol, f, g):
+    """Log-domain Sinkhorn: safe at any epsilon, at about 30 numpy calls per iteration."""
     log_u = np.log(u)
     log_v = np.log(v)
-    f = np.zeros(cost.shape[0]) if warm_f is None else warm_f.copy()
-    g = np.zeros(cost.shape[1]) if warm_g is None else warm_g.copy()
 
     def logsumexp(m, axis):
         mx = m.max(axis=axis, keepdims=True)
         return (mx + np.log(np.exp(m - mx).sum(axis=axis, keepdims=True))).squeeze(axis)
 
     converged = False
-    it = 0
     for it in range(1, max_iter + 1):
         f = epsilon * (log_u - logsumexp((g[None, :] - cost) / epsilon, axis=1))
         g = epsilon * (log_v - logsumexp((f[:, None] - cost) / epsilon, axis=0))
@@ -123,7 +185,7 @@ def sinkhorn(
             converged = True
             break
     plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
-    return TransportPlan(plan, u.copy(), v.copy()), f, g, it, converged
+    return plan, f, g, it, converged
 
 
 def _gw_from_init(

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, matmul, pairwise_distances, pairwise_l2, softmax_rows
+from .autodiff import Tensor, matmul, no_grad, pairwise_distances, pairwise_l2, softmax_rows
 from .data import entity_type
 from .errors import GraphInputError
 
@@ -173,8 +173,9 @@ def estimate_conditionals(model, corpus, temperature: float, label_set: list[str
         types = [entity_type(t) for t in tags]
         if not any(t in counts for t in types):
             continue
-        logits = np.asarray(model.type_logits(tokens), dtype=np.float64)
-        probs = softmax_rows(Tensor(logits), temperature=temperature).data
+        with no_grad():
+            logits = np.asarray(model.type_logits(tokens), dtype=np.float64)
+            probs = softmax_rows(Tensor(logits), temperature=temperature).data
         for k, t in enumerate(types):
             if t is None or t not in counts:
                 continue

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import numbers
 import struct
 from dataclasses import dataclass, replace
@@ -48,6 +49,12 @@ _FIELD_CHECKS = {
     "str": lambda v: isinstance(v, str),
     "str | None": lambda v: v is None or isinstance(v, str),
 }
+# TrainConfig fields that must exceed 0, and the lowest allowed value of others
+_POSITIVE = ("temperature", "edge_threshold", "epsilon", "gw_tol", "learning_rate")
+_AT_LEAST = {
+    "lambda1": 0, "lambda2": 0, "epochs": 0,
+    "batch_size": 1, "d_h": 1, "d_p": 1, "inner_iter": 1, "outer_iter": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -76,10 +83,13 @@ class TrainConfig:
             value = getattr(self, f.name)
             if not _FIELD_CHECKS[f.type](value):
                 raise InputError(f"config field {f.name!r} must be {f.type}, got {value!r}")
-        if self.temperature <= 0 or self.edge_threshold <= 0:
-            raise InputError("temperature and edge_threshold must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise InputError("loss weights must be nonnegative")
+            if f.type == "float" and not math.isfinite(value):
+                raise InputError(f"config field {f.name!r} must be finite, got {value!r}")
+            if f.name in _POSITIVE and value <= 0:
+                raise InputError(f"config field {f.name!r} must be > 0, got {value!r}")
+            if f.name in _AT_LEAST and value < _AT_LEAST[f.name]:
+                low = _AT_LEAST[f.name]
+                raise InputError(f"config field {f.name!r} must be >= {low}, got {value!r}")
         if self.encoder_mode not in ("toy", "file"):
             raise InputError("encoder_mode must be 'toy' or 'file'")
 
@@ -164,7 +174,8 @@ class Model:
         return fu.tag_logits(trace.h_prime, self.params), trace
 
     def tag_logits_array(self, tokens) -> np.ndarray:
-        return self.forward(tokens)[0].data
+        with ad.no_grad():
+            return self.forward(tokens)[0].data
 
     def predict_tags(self, tokens) -> list[str]:
         logits = self.tag_logits_array(tokens)
@@ -177,7 +188,8 @@ class Model:
 
     def type_logits(self, tokens) -> np.ndarray:
         """Per-token entity-type logits: log-sum-exp over each type's B/I tags."""
-        return self.type_logits_tensor(self.forward(tokens)[0]).data
+        with ad.no_grad():
+            return self.type_logits_tensor(self.forward(tokens)[0]).data
 
     def type_logits_tensor(self, tag_logit_tensor: Tensor) -> Tensor:
         return ad.logsumexp_cols(tag_logit_tensor, self._groups)
@@ -302,11 +314,15 @@ def _sentence_targets(model: Model, corpus: TaggedCorpus) -> list[_SentenceTarge
 
 
 def _train(model: Model, corpus: TaggedCorpus, config: TrainConfig, rng: np.random.Generator):
-    """Mini-batch SGD on `corpus`; yields (loss means, GW skips) after each epoch.
+    """Mini-batch SGD on `corpus`; yields one epoch's stats after each epoch.
 
     Each batch minimizes the token-weighted tag loss. A fused model adds
     lambda1 * aux and lambda2 * gw unless a term is ablated or weighted to
-    zero; a batch whose target graph is degenerate skips the GW term.
+    zero; a batch whose target graph is degenerate skips the GW term
+    (counted in ``gw_skips``). A GW solve that ends unconverged (at its
+    iteration caps, or halted by the monotone guard) still gives the batch
+    its envelope loss, built on the last plan the solver accepted,
+    and the batch is counted in ``gw_unconverged``.
     """
     fused = model.kind == "fused"
     aux_on = fused and not config.ablate_aux and config.lambda1 > 0
@@ -314,7 +330,7 @@ def _train(model: Model, corpus: TaggedCorpus, config: TrainConfig, rng: np.rand
     targets = _sentence_targets(model, corpus)
     for _ in range(config.epochs):
         batch_losses = []  # (cls, aux, gw, total) per batch
-        gw_skips = 0
+        gw_skips = gw_unconverged = 0
         order = rng.permutation(len(targets))
         for start in range(0, len(order), config.batch_size):
             cls_losses, weights, aux_losses = [], [], []
@@ -340,21 +356,24 @@ def _train(model: Model, corpus: TaggedCorpus, config: TrainConfig, rng: np.rand
                 aux_val = aux_loss.item()
             gw_val = 0.0
             if gw_on:
-                gw_term = _batch_gw_term(model.source_graph, batch_type_logits, batch_gold_types, config)
-                if gw_term is None:
+                gw = _batch_gw_term(model.source_graph, batch_type_logits, batch_gold_types, config)
+                if gw is None:
                     gw_skips += 1
                 else:
+                    gw_term, converged = gw
+                    gw_unconverged += not converged
                     loss = loss + config.lambda2 * gw_term
                     gw_val = gw_term.item()
             loss.backward()
             _sgd_step(model.params, config.learning_rate)
             batch_losses.append((cls_loss.item(), aux_val, gw_val, loss.item()))
         columns = zip(("cls", "aux", "gw", "total"), zip(*batch_losses))
-        yield {name: float(np.mean(values)) for name, values in columns}, gw_skips
+        stats = {name: float(np.mean(values)) for name, values in columns}
+        yield {**stats, "gw_skips": gw_skips, "gw_unconverged": gw_unconverged}
 
 
 def _batch_gw_term(ds_full, batch_type_logits, gold_types, config):
-    """Envelope GW loss for one batch, or None (skip) when degenerate."""
+    """(envelope GW loss, solve converged) for one batch, or None (skip) when degenerate."""
     if not batch_type_logits:
         return None
     tgb = target_graph_from_batch(
@@ -375,7 +394,7 @@ def _batch_gw_term(ds_full, batch_type_logits, gold_types, config):
         tol=config.gw_tol,
         anneal=False,  # per-step loss: speed over plan sharpness
     )
-    return gw_fixed_plan_loss(tgb.distances, d_s, result.plan.matrix)
+    return gw_fixed_plan_loss(tgb.distances, d_s, result.plan.matrix), result.converged
 
 
 def train_source(corpus: TaggedCorpus, config: TrainConfig) -> Model:
@@ -444,11 +463,8 @@ def finetune(f0: Model, corpus_t: TaggedCorpus, config: TrainConfig):
         raise InputError("target corpus has no entity labels")
     model = _init_finetune_model(f0, corpus_t, config)
     rng = np.random.default_rng(config.seed + 1)  # training order stream
-    log = []
-    for epoch, (means, gw_skips) in enumerate(_train(model, corpus_t, config, rng)):
-        _, _, train_f1 = evaluate(model, corpus_t)
-        log.append({"epoch": epoch, **means, "train_f1": train_f1, "gw_skips": gw_skips})
-    return model, log
+    epochs = _train(model, corpus_t, config, rng)
+    return model, [{"epoch": epoch, **stats} for epoch, stats in enumerate(epochs)]
 
 
 def target_graph_from_corpus(model: Model, corpus: TaggedCorpus, config: TrainConfig):

@@ -106,6 +106,21 @@ def test_backward_requires_scalar():
         (t * 2.0).backward()
 
 
+def test_no_grad_records_no_tape_and_restores_after_error():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with ad.no_grad():
+        out = ad.matmul(w, w) * 2.0
+    assert out._parents == () and out._backward is None and not out.requires_grad
+    np.testing.assert_array_equal(out.data, np.full((2, 2), 4.0))
+    with pytest.raises(ShapeError):
+        with ad.no_grad():
+            ad.matmul(w, Tensor(np.ones(3)))
+    tracked = ad.matmul(w, w).sum()
+    assert tracked._parents and tracked.requires_grad
+    tracked.backward()
+    np.testing.assert_array_equal(w.grad, np.full((2, 2), 4.0))
+
+
 def test_determinism():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4))

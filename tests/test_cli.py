@@ -188,8 +188,10 @@ def test_non_integer_seed_env_exits_2(workdir, capsys, monkeypatch):
         '{"epochs": "x"}',
         '{"d_h": 2.5}',
         '{"ablate_gw": "no"}',
+        '{"batch_size": 0}',
     ],
-    ids=["truncated", "str_temperature", "str_epochs", "float_d_h", "str_ablate_gw"],
+    ids=["truncated", "str_temperature", "str_epochs", "float_d_h", "str_ablate_gw",
+         "zero_batch_size"],
 )
 def test_malformed_config_json_exits_2(workdir, capsys, text):
     (workdir / "broken.json").write_text(text)

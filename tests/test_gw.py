@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from conftest import random_graph
 from labeltransfer.autodiff import NumericError, ShapeError, Tensor
 from labeltransfer.gw import (
+    _MAX_KERNEL_SPREAD,
+    _sinkhorn_log,
+    _sinkhorn_scaling,
     gromov_wasserstein,
     gromov_wasserstein_distances,
     gw_fixed_plan_loss,
@@ -102,6 +105,55 @@ def test_sinkhorn_rejects_bad_inputs():
         sinkhorn(np.zeros((2, 2)), np.array([1.0, 0.0]), u, epsilon=0.1)
     with pytest.raises(NumericError):
         sinkhorn(np.array([[np.inf, 0.0], [0.0, 0.0]]), u, u, epsilon=0.1)
+    with pytest.raises(ValueError):
+        sinkhorn(np.zeros((2, 2)), u, u, epsilon=0.1, max_iter=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000), st.integers(2, 12), st.integers(2, 12),
+    st.floats(0.02, 1.0), st.booleans(),
+)
+def test_sinkhorn_scaling_matches_log_domain(seed, n, m, epsilon, warm):
+    rng = np.random.default_rng(seed)
+    cost = rng.uniform(size=(n, m))
+    u = rng.dirichlet(np.ones(n))
+    v = rng.dirichlet(np.ones(m))
+    # warm potentials as a GW outer step passes them: a few epsilon in size
+    f = 3 * epsilon * rng.normal(size=n) if warm else np.zeros(n)
+    g = 3 * epsilon * rng.normal(size=m) if warm else np.zeros(m)
+    scaled = _sinkhorn_scaling(cost, u, v, epsilon, 5000, 1e-10, f, g)
+    assert scaled is not None
+    plan, f_s, g_s, iterations, converged = scaled
+    # the log-domain loop, run for the same number of iterations
+    plan_log, f_log, g_log, _, _ = _sinkhorn_log(cost, u, v, epsilon, iterations, 0.0, f, g)
+    assert np.abs(plan - plan_log).max() < 1e-10
+    np.testing.assert_allclose(f_s, f_log, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(g_s, g_log, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(plan, np.exp((f_s[:, None] + g_s[None, :] - cost) / epsilon),
+                               rtol=1e-9, atol=1e-15)
+    assert np.abs(plan.sum(axis=0) - v).max() < 1e-12
+    if converged:
+        assert np.abs(plan.sum(axis=1) - u).max() < 1e-10
+
+
+def test_sinkhorn_wide_kernel_takes_log_domain_fallback():
+    rng = np.random.default_rng(14)
+    cost = rng.uniform(size=(5, 4))
+    cost[0, 0], cost[4, 3] = 0.0, 1.0
+    u = np.full(5, 0.2)
+    v = np.full(4, 0.25)
+    epsilon = 1.0 / (_MAX_KERNEL_SPREAD + 50)
+    zeros_f, zeros_g = np.zeros(5), np.zeros(4)
+    assert _sinkhorn_scaling(cost, u, v, epsilon, 500, 1e-9, zeros_f, zeros_g) is None
+    plan, f, g, iterations, converged = sinkhorn(cost, u, v, epsilon, max_iter=500)
+    log_plan, log_f, log_g, log_iterations, _ = _sinkhorn_log(
+        cost, u, v, epsilon, 500, 1e-9, zeros_f, zeros_g
+    )
+    np.testing.assert_array_equal(plan.matrix, log_plan)
+    np.testing.assert_array_equal(f, log_f)
+    assert iterations == log_iterations
+    assert converged and plan.marginal_error() < 1e-8
 
 
 # -- GW solver -----------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from labeltransfer import pipeline
 from labeltransfer.data import InputError, parse_conll
 from labeltransfer.pipeline import (
     Model,
@@ -84,6 +86,27 @@ def test_config_rejects_wrong_field_types(text):
         TrainConfig.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"temperature": NaN}',
+        '{"lambda2": Infinity}',
+        '{"batch_size": 0}',
+        '{"d_h": 0}',
+        '{"inner_iter": 0}',
+        '{"epochs": -1}',
+        '{"epsilon": 0}',
+        '{"gw_tol": 0.0}',
+        '{"learning_rate": -0.1}',
+    ],
+    ids=["nan_temperature", "inf_lambda2", "zero_batch_size", "zero_d_h", "zero_inner_iter",
+         "negative_epochs", "zero_epsilon", "zero_gw_tol", "negative_learning_rate"],
+)
+def test_config_rejects_out_of_range_values(text):
+    with pytest.raises(InputError):
+        TrainConfig.from_json(text)
+
+
 def test_tags_for_layout():
     assert tags_for(["PER", "LOC"]) == ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
 
@@ -155,8 +178,27 @@ def test_finetune_runs_and_logs(task, f0):
     assert model.kind == "fused"
     assert len(log) == 2
     for row in log:
-        assert set(row) == {"epoch", "cls", "aux", "gw", "total", "train_f1", "gw_skips"}
+        assert set(row) == {"epoch", "cls", "aux", "gw", "total", "gw_skips", "gw_unconverged"}
         assert row["total"] >= row["cls"] - 1e-12
+
+
+def test_finetune_counts_unconverged_gw_batches(task, f0, monkeypatch):
+    converged = []
+    solve = pipeline.gromov_wasserstein_distances
+
+    def recording_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        converged.append(result.converged)
+        return result
+
+    monkeypatch.setattr(pipeline, "gromov_wasserstein_distances", recording_solve)
+    # capped solves: some batches end unconverged
+    cfg = TrainConfig(d_h=16, d_p=8, epochs=2, learning_rate=0.1, seed=0,
+                      inner_iter=5, outer_iter=2)
+    _, log = finetune(f0, task.target_train, cfg)
+    assert sum(row["gw_unconverged"] for row in log) == converged.count(False) > 0
+    _, log = finetune(f0, task.target_train, replace(cfg, ablate_gw=True))
+    assert all(row["gw_unconverged"] == 0 for row in log)
 
 
 def test_finetune_zero_weights_total_equals_cls(task, f0):
