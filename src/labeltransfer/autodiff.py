@@ -2,8 +2,12 @@
 
 Every operation records a backward closure on the enclosing graph; calling
 ``backward()`` on a scalar output accumulates gradients into every reachable
-tensor with ``requires_grad=True``. Inside ``with no_grad():`` operations
-record nothing, for inference. The op set is deliberately small: just
+tensor with ``requires_grad=True``. ``backward()`` frees the tape as it goes:
+once a non-leaf node's closure has run, the node drops its ``grad``, its
+parents and its closure, so a graph can be backpropagated once. Leaves (the
+tensors built directly with ``requires_grad=True``, such as parameters) keep
+their accumulated ``.grad``. Inside ``with no_grad():`` operations record
+nothing, for inference. The op set is deliberately small: just
 what the fusion network, the losses, and the graph-matching term need.
 """
 
@@ -109,6 +113,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                # free the tape: only leaf grads are read after backward()
+                node.grad = None
+                node._parents = ()
+                node._backward = None
 
     # -- elementwise arithmetic (numpy broadcasting) --------------------
 
@@ -304,18 +312,31 @@ def rows_select(a: Tensor, ids) -> Tensor:
     return Tensor._make(a.data[ids], (a,), backward)
 
 
-def shift_rows(a: Tensor, k: int) -> Tensor:
-    """Shift rows down by k (k>0) or up (k<0), filling vacated rows with 0."""
+def shift_rows(a: Tensor, k: int, keep=None) -> Tensor:
+    """Shift rows down by k (k>0) or up (k<0), filling vacated rows with 0.
+
+    ``keep`` is an optional boolean mask over the output rows; rows where it
+    is False are zeroed too. A batch of concatenated sentences passes False
+    at the rows whose shifted value would come from another sentence.
+    """
     n = a.data.shape[0]
     out = np.zeros_like(a.data)
     if k >= 0:
         out[k:] = a.data[: n - k]
     else:
         out[:k] = a.data[-k:]
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != (n,):
+            raise ShapeError("shift_rows: keep needs one flag per row")
+        out[~keep] = 0.0
 
     def backward(g):
         if not a.requires_grad:
             return
+        if keep is not None:
+            g = g.copy()
+            g[~keep] = 0.0
         full = np.zeros_like(a.data)
         if k >= 0:
             full[: n - k] = g[k:]

@@ -7,6 +7,18 @@ a 2-layer GCN propagates the components over the source label graph, and
 token-guided attention fuses them back into the token stream. Heads: a
 per-token tag classifier (cross-entropy) and a sentence-level multi-label
 entity-presence head (binary cross-entropy).
+
+Batch layout. A training batch of B sentences runs as one graph: the
+sentences' token rows are concatenated into one (ΣN × d) matrix, and
+``lengths`` gives each sentence's token count. The encoder's window never
+crosses a sentence boundary; the label representations are tiled once per
+sentence (B·n_types components); both attention score matrices get a
+constant additive block mask, so each sentence attends only to its own
+tokens and components; the GCN runs on the block-diagonal ``I_B ⊗ Â``
+(the batching of PyTorch Geometric); and the presence head pools each
+sentence with a (B × ΣN) averaging matrix. The masks are dense, (B·n_types ×
+ΣN), so their cost grows as B²: inference therefore runs one sentence at a
+time. ``lengths=None`` means one sentence, with no tiling and no mask.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError
+from .errors import InputError, ShapeError
 from .labelgraph import LabelGraph
 
 UNK = "<unk>"
@@ -119,15 +131,50 @@ class Vocab:
         return len(self.itos)
 
 
-def encode_toy(token_ids: np.ndarray, params: ModelParams) -> Tensor:
-    """Embedding lookup plus one window-3 mixing layer with residual."""
+def _offsets(lengths, n_rows: int) -> np.ndarray:
+    """Row offsets [0, n_1, n_1 + n_2, ..., ΣN] of a batch's concatenated sentences."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.size == 0 or np.any(lengths < 1):
+        raise InputError("empty sentence")
+    if lengths.sum() != n_rows:
+        raise ShapeError(f"sentence lengths sum to {lengths.sum()}, not {n_rows} rows")
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
+# off-block attention score: finite, since softmax_rows rejects non-finite
+# input, and low enough that its exp underflows to exactly 0
+_OFF_BLOCK = -1e30
+
+
+def _block_mask(lengths, n_types: int, n_tokens: int) -> np.ndarray:
+    """Additive (B·n_types × ΣN) score mask: 0 where component and token share a sentence."""
+    _offsets(lengths, n_tokens)
+    sentences = np.arange(len(lengths))
+    token_sentence = np.repeat(sentences, lengths)
+    component_sentence = np.repeat(sentences, n_types)
+    return np.where(component_sentence[:, None] == token_sentence, 0.0, _OFF_BLOCK)
+
+
+def encode_toy(token_ids: np.ndarray, params: ModelParams, lengths=None) -> Tensor:
+    """Embedding lookup plus one window-3 mixing layer with residual.
+
+    With ``lengths``, ``token_ids`` holds a batch of concatenated sentences
+    and the window does not reach across a sentence boundary.
+    """
     if len(token_ids) == 0:
         raise InputError("empty sentence")
+    keep_prev = keep_next = None
+    if lengths is not None:
+        offsets = _offsets(lengths, len(token_ids))
+        keep_prev = np.ones(len(token_ids), dtype=bool)
+        keep_next = keep_prev.copy()
+        keep_prev[offsets[:-1]] = False  # a sentence's first token has no left neighbour
+        keep_next[offsets[1:] - 1] = False  # nor its last a right one
     e = ad.rows_select(params.embed, token_ids)
     mixed = (
-        ad.matmul(ad.shift_rows(e, 1), params.mix_left)
+        ad.matmul(ad.shift_rows(e, 1, keep_prev), params.mix_left)
         + ad.matmul(e, params.mix_center)
-        + ad.matmul(ad.shift_rows(e, -1), params.mix_right)
+        + ad.matmul(ad.shift_rows(e, -1, keep_next), params.mix_right)
         + params.mix_bias
     )
     return e + ad.relu(mixed)
@@ -166,45 +213,56 @@ class EmbeddingFile:
 
 
 class FusionTrace(NamedTuple):
+    # n_s tokens and n_c = n_types components per sentence, summed over the batch
     q: Tensor        # n_s x d_p
-    alpha: Tensor    # n_types x n_s
-    u: Tensor        # n_types x d_p
-    u_prime: Tensor  # n_types x d_p
-    beta: Tensor     # n_s x n_types
+    alpha: Tensor    # n_c x n_s
+    u: Tensor        # n_c x d_p
+    u_prime: Tensor  # n_c x d_p
+    beta: Tensor     # n_s x n_c
     h_prime: Tensor  # n_s x d_h
 
 
-def label_attention(h: Tensor, params: ModelParams):
+def label_attention(h: Tensor, params: ModelParams, lengths=None):
     """Label-guided attention: per entity type, a softmax over tokens."""
     q = ad.matmul(h, params.proj_w) + params.proj_b
-    scores = ad.matmul(params.label_reps, ad.transpose(q))  # n_types x n_s
+    label_reps = params.label_reps
+    if lengths is not None:
+        label_reps = ad.rows_select(label_reps, np.tile(np.arange(params.n_types), len(lengths)))
+    scores = ad.matmul(label_reps, ad.transpose(q))  # n_c x n_s
+    if lengths is not None:
+        scores = scores + Tensor(_block_mask(lengths, params.n_types, h.shape[0]))
     alpha = ad.softmax_rows(scores)
     u = ad.matmul(alpha, q)
     return q, alpha, u
 
 
-def gcn_propagate(u: Tensor, graph: LabelGraph, params: ModelParams) -> Tensor:
+def gcn_propagate(u: Tensor, graph: LabelGraph, params: ModelParams, lengths=None) -> Tensor:
     """Two GCN layers over the (self-looped, normalized) graph adjacency."""
     if graph.n != params.n_types:
         raise InputError("graph labels do not align with label components")
-    a_hat = Tensor(graph.adjacency())
+    a_hat = graph.adjacency()
+    if lengths is not None:
+        a_hat = np.kron(np.eye(len(lengths)), a_hat)  # one copy of the graph per sentence
+    a_hat = Tensor(a_hat)
     hidden = ad.relu(ad.matmul(ad.matmul(a_hat, u), params.gcn_w1))
     return ad.matmul(ad.matmul(a_hat, hidden), params.gcn_w2)
 
 
-def token_fusion(h: Tensor, q: Tensor, u_prime: Tensor, params: ModelParams):
+def token_fusion(h: Tensor, q: Tensor, u_prime: Tensor, params: ModelParams, lengths=None):
     """Token-guided fusion: residual add of attention-weighted components."""
-    scores = ad.matmul(q, ad.transpose(u_prime))  # n_s x n_types
+    scores = ad.matmul(q, ad.transpose(u_prime))  # n_s x n_c
+    if lengths is not None:
+        scores = scores + Tensor(_block_mask(lengths, params.n_types, h.shape[0]).T)
     beta = ad.softmax_rows(scores)
     mix = ad.matmul(beta, u_prime)
     h_prime = h + ad.matmul(mix, params.out_w) + params.out_b
     return beta, h_prime
 
 
-def fusion_forward(h: Tensor, graph: LabelGraph, params: ModelParams) -> FusionTrace:
-    q, alpha, u = label_attention(h, params)
-    u_prime = gcn_propagate(u, graph, params)
-    beta, h_prime = token_fusion(h, q, u_prime, params)
+def fusion_forward(h: Tensor, graph: LabelGraph, params: ModelParams, lengths=None) -> FusionTrace:
+    q, alpha, u = label_attention(h, params, lengths)
+    u_prime = gcn_propagate(u, graph, params, lengths)
+    beta, h_prime = token_fusion(h, q, u_prime, params, lengths)
     return FusionTrace(q, alpha, u, u_prime, beta, h_prime)
 
 
@@ -213,7 +271,11 @@ def tag_logits(h_prime: Tensor, params: ModelParams) -> Tensor:
 
 
 def classification_loss_from_logits(logits: Tensor, gold_tag_ids) -> Tensor:
-    """Mean token-level cross-entropy of precomputed tag logits."""
+    """Mean token-level cross-entropy of precomputed tag logits.
+
+    Over a batch's concatenated sentences this is the token-weighted mean of
+    the per-sentence losses.
+    """
     gold_tag_ids = np.asarray(gold_tag_ids, dtype=np.intp)
     if np.any(gold_tag_ids < 0) or np.any(gold_tag_ids >= logits.data.shape[1]):
         raise InputError("gold tag id outside tag set")
@@ -226,14 +288,22 @@ def classification_loss(h_prime: Tensor, gold_tag_ids, params: ModelParams) -> T
     return classification_loss_from_logits(tag_logits(h_prime, params), gold_tag_ids)
 
 
-def auxiliary_loss(h_prime: Tensor, present: np.ndarray, params: ModelParams) -> Tensor:
+def auxiliary_loss(h_prime: Tensor, present: np.ndarray, params: ModelParams, lengths=None) -> Tensor:
     """Sentence-level multi-label BCE on mean-pooled fused embeddings.
 
-    ``present`` is the multi-hot vector of entity types in the sentence.
+    ``present`` is the multi-hot vector of entity types in the sentence, or
+    with ``lengths`` one such row per sentence; the loss is then the mean
+    over the sentences.
     """
-    present = np.asarray(present, dtype=np.float64).reshape(1, -1)
-    n_s = h_prime.data.shape[0]
-    pooled = h_prime.sum(axis=0, keepdims=True) / float(n_s)
+    if lengths is None:
+        n_s = h_prime.data.shape[0]
+        pooled = h_prime.sum(axis=0, keepdims=True) / float(n_s)
+    else:
+        lengths = np.asarray(lengths)
+        _offsets(lengths, h_prime.shape[0])
+        averaging = np.repeat(np.diag(1.0 / lengths), lengths, axis=1)  # B x n_s
+        pooled = ad.matmul(Tensor(averaging), h_prime)
+    present = np.asarray(present, dtype=np.float64).reshape(pooled.shape[0], -1)
     z = ad.matmul(pooled, params.aux_w) + params.aux_b
     # BCE with logits: softplus(z) - z*y, averaged over types
     loss = ad.softplus(z) - z * Tensor(present)

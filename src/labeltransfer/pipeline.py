@@ -138,6 +138,14 @@ def _graph_from_meta(obj: dict) -> LabelGraph:
     return build_graph(obj["raw_nodes"], list(obj["labels"]), obj["threshold"])
 
 
+def _batch_lengths(sentences) -> list[int] | None:
+    """Token counts of a batch; None for a single sentence, which runs unbatched."""
+    lengths = [len(s) for s in sentences]
+    if not lengths or min(lengths) == 0:
+        raise InputError("empty sentence")
+    return lengths if len(lengths) > 1 else None
+
+
 class Model:
     """A checkpointable tagger: plain source tagger or label-fusion model."""
 
@@ -154,28 +162,35 @@ class Model:
 
     # -- forward ---------------------------------------------------------
 
-    def encode(self, tokens) -> Tensor:
-        if not tokens:
-            raise InputError("empty sentence")
+    def encode(self, sentences, lengths=None) -> Tensor:
+        """Token embeddings of the concatenated sentences.
+
+        ``lengths`` holds their token counts, or is None for one sentence.
+        """
         if self.config.encoder_mode == "file":
             if self._embeddings is None:
                 if not self.config.embedding_file:
                     raise InputError("encoder_mode='file' requires embedding_file")
                 self._embeddings = fu.EmbeddingFile(self.config.embedding_file)
-            return Tensor(self._embeddings.lookup(list(tokens)))
-        return fu.encode_toy(self.vocab.ids(list(tokens)), self.params)
+            return Tensor(np.concatenate([self._embeddings.lookup(list(s)) for s in sentences]))
+        ids = self.vocab.ids([token for s in sentences for token in s])
+        return fu.encode_toy(ids, self.params, lengths)
 
-    def forward(self, tokens):
-        """Returns (tag-logits tensor, fusion trace or None)."""
-        h = self.encode(tokens)
+    def forward(self, sentences):
+        """(tag logits, fusion trace or None) of a batch of sentences, as one graph.
+
+        The logits hold the sentences' token rows one after another.
+        """
+        lengths = _batch_lengths(sentences)
+        h = self.encode(sentences, lengths)
         if self.kind == "source":
             return fu.tag_logits(h, self.params), None
-        trace = fu.fusion_forward(h, self.source_graph, self.params)
+        trace = fu.fusion_forward(h, self.source_graph, self.params, lengths)
         return fu.tag_logits(trace.h_prime, self.params), trace
 
     def tag_logits_array(self, tokens) -> np.ndarray:
         with ad.no_grad():
-            return self.forward(tokens)[0].data
+            return self.forward([tokens])[0].data
 
     def predict_tags(self, tokens) -> list[str]:
         logits = self.tag_logits_array(tokens)
@@ -189,7 +204,7 @@ class Model:
     def type_logits(self, tokens) -> np.ndarray:
         """Per-token entity-type logits: log-sum-exp over each type's B/I tags."""
         with ad.no_grad():
-            return self.type_logits_tensor(self.forward(tokens)[0]).data
+            return self.type_logits_tensor(self.forward([tokens])[0]).data
 
     def type_logits_tensor(self, tag_logit_tensor: Tensor) -> Tensor:
         return ad.logsumexp_cols(tag_logit_tensor, self._groups)
@@ -316,13 +331,9 @@ def _sentence_targets(model: Model, corpus: TaggedCorpus) -> list[_SentenceTarge
 def _train(model: Model, corpus: TaggedCorpus, config: TrainConfig, rng: np.random.Generator):
     """Mini-batch SGD on `corpus`; yields one epoch's stats after each epoch.
 
-    Each batch minimizes the token-weighted tag loss. A fused model adds
-    lambda1 * aux and lambda2 * gw unless a term is ablated or weighted to
-    zero; a batch whose target graph is degenerate skips the GW term
-    (counted in ``gw_skips``). A GW solve that ends unconverged (at its
-    iteration caps, or halted by the monotone guard) still gives the batch
-    its envelope loss, built on the last plan the solver accepted,
-    and the batch is counted in ``gw_unconverged``.
+    Each batch is one forward graph, one loss (`_batch_loss`) and one
+    ``backward()``. Skipped and unconverged GW batches are counted in
+    ``gw_skips`` and ``gw_unconverged``.
     """
     fused = model.kind == "fused"
     aux_on = fused and not config.ablate_aux and config.lambda1 > 0
@@ -333,52 +344,68 @@ def _train(model: Model, corpus: TaggedCorpus, config: TrainConfig, rng: np.rand
         gw_skips = gw_unconverged = 0
         order = rng.permutation(len(targets))
         for start in range(0, len(order), config.batch_size):
-            cls_losses, weights, aux_losses = [], [], []
-            batch_type_logits, batch_gold_types = [], []
-            for si in order[start : start + config.batch_size]:
-                sent = targets[si]
-                logits, trace = model.forward(sent.tokens)
-                cls_losses.append(fu.classification_loss_from_logits(logits, sent.tag_ids))
-                weights.append(len(sent.tokens))
-                if aux_on:
-                    aux_losses.append(fu.auxiliary_loss(trace.h_prime, sent.present, model.params))
-                if gw_on and len(sent.entity_rows):
-                    tl = model.type_logits_tensor(logits)
-                    batch_type_logits.append(ad.rows_select(tl, sent.entity_rows))
-                    batch_gold_types.extend(sent.entity_types)
-            total_tokens = float(sum(weights))
-            cls_loss = sum((w / total_tokens) * l for w, l in zip(weights, cls_losses))
-            loss = cls_loss
-            aux_val = 0.0
-            if aux_on:
-                aux_loss = sum(aux_losses) / float(len(aux_losses))
-                loss = loss + config.lambda1 * aux_loss
-                aux_val = aux_loss.item()
-            gw_val = 0.0
-            if gw_on:
-                gw = _batch_gw_term(model.source_graph, batch_type_logits, batch_gold_types, config)
-                if gw is None:
-                    gw_skips += 1
-                else:
-                    gw_term, converged = gw
-                    gw_unconverged += not converged
-                    loss = loss + config.lambda2 * gw_term
-                    gw_val = gw_term.item()
-            loss.backward()
+            batch = [targets[si] for si in order[start : start + config.batch_size]]
+            out = _batch_loss(model, batch, config, aux_on, gw_on)
+            gw_skips += out.gw_skipped
+            gw_unconverged += out.gw_unconverged
+            out.total.backward()
             _sgd_step(model.params, config.learning_rate)
-            batch_losses.append((cls_loss.item(), aux_val, gw_val, loss.item()))
+            batch_losses.append((out.cls.item(), out.aux, out.gw, out.total.item()))
         columns = zip(("cls", "aux", "gw", "total"), zip(*batch_losses))
         stats = {name: float(np.mean(values)) for name, values in columns}
         yield {**stats, "gw_skips": gw_skips, "gw_unconverged": gw_unconverged}
 
 
-def _batch_gw_term(ds_full, batch_type_logits, gold_types, config):
+class _BatchLoss(NamedTuple):
+    total: Tensor
+    cls: Tensor
+    aux: float
+    gw: float
+    gw_skipped: bool
+    gw_unconverged: bool
+
+
+def _batch_loss(model: Model, batch: list[_SentenceTargets], config: TrainConfig,
+                aux_on: bool, gw_on: bool) -> _BatchLoss:
+    """The objective of one batch, built as one graph.
+
+    The tag loss is the mean cross-entropy over the batch's tokens. With
+    ``aux_on`` the total adds lambda1 * aux, the presence loss averaged over
+    sentences; with ``gw_on`` it adds lambda2 * gw over the batch's entity
+    tokens, unless the batch's target graph is degenerate (``gw_skipped``).
+    A GW solve that ends unconverged (at its iteration caps, or halted by
+    the monotone guard) still gives the batch its envelope loss, built on
+    the last plan the solver accepted, and sets ``gw_unconverged``.
+    """
+    tokens = [sent.tokens for sent in batch]
+    logits, trace = model.forward(tokens)
+    cls_loss = fu.classification_loss_from_logits(logits, np.concatenate([s.tag_ids for s in batch]))
+    loss = cls_loss
+    aux_val = gw_val = 0.0
+    gw_skipped = gw_unconverged = False
+    if aux_on:
+        present = np.stack([sent.present for sent in batch])
+        aux_loss = fu.auxiliary_loss(trace.h_prime, present, model.params, _batch_lengths(tokens))
+        loss = loss + config.lambda1 * aux_loss
+        aux_val = aux_loss.item()
+    if gw_on:
+        offsets = np.cumsum([0] + [len(t) for t in tokens])
+        rows = np.concatenate([off + sent.entity_rows for off, sent in zip(offsets, batch)])
+        gold_types = [t for sent in batch for t in sent.entity_types]
+        type_logits = ad.rows_select(model.type_logits_tensor(logits), rows)
+        gw = _batch_gw_term(model.source_graph, type_logits, gold_types, config)
+        gw_skipped = gw is None
+        if not gw_skipped:
+            gw_term, converged = gw
+            gw_unconverged = not converged
+            loss = loss + config.lambda2 * gw_term
+            gw_val = gw_term.item()
+    return _BatchLoss(loss, cls_loss, aux_val, gw_val, gw_skipped, gw_unconverged)
+
+
+def _batch_gw_term(ds_full, type_logits, gold_types, config):
     """(envelope GW loss, solve converged) for one batch, or None (skip) when degenerate."""
-    if not batch_type_logits:
-        return None
-    tgb = target_graph_from_batch(
-        ad.concat_rows(batch_type_logits), gold_types, config.temperature, config.edge_threshold
-    )
+    tgb = target_graph_from_batch(type_logits, gold_types, config.temperature, config.edge_threshold)
     if tgb is None:
         return None
     gs_sub = ds_full.subgraph(list(tgb.labels))

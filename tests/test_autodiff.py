@@ -81,6 +81,17 @@ def test_shift_rows_values():
     np.testing.assert_array_equal(up.data, [[2, 3], [4, 5], [0, 0]])
 
 
+def test_shift_rows_keep_zeroes_masked_rows():
+    a = Tensor(np.arange(8.0).reshape(4, 2))
+    keep = np.array([True, True, False, True])
+    down = ad.shift_rows(a, 1, keep)
+    np.testing.assert_array_equal(down.data, [[0, 0], [0, 1], [0, 0], [4, 5]])
+    up = ad.shift_rows(a, -1, keep)
+    np.testing.assert_array_equal(up.data, [[2, 3], [4, 5], [0, 0], [0, 0]])
+    with pytest.raises(ShapeError):
+        ad.shift_rows(a, 1, np.ones(3, dtype=bool))
+
+
 def test_logsumexp_cols_matches_numpy():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(4, 5))
@@ -119,6 +130,45 @@ def test_no_grad_records_no_tape_and_restores_after_error():
     assert tracked._parents and tracked.requires_grad
     tracked.backward()
     np.testing.assert_array_equal(w.grad, np.full((2, 2), 4.0))
+
+
+def _tape(out: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``out`` through the recorded parents."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_backward_frees_the_tape_and_keeps_leaf_grads():
+    rng = np.random.default_rng(4)
+    a0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+
+    def build(a, b):
+        y = ad.matmul(a, b)  # used twice: its grad must gather both uses first
+        return (y * y).sum() + (ad.relu(y) * 3.0).sum()
+
+    a, b = Tensor(a0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+    out = build(a, b)
+    tape = _tape(out)
+    inner = [t for t in tape if t._backward is not None]
+    assert len(inner) > 5
+    out.backward()
+    for node in inner:
+        assert node.grad is None and node._parents == () and node._backward is None
+    # leaves keep grads equal to a separately built graph's, and to the closed form
+    a2, b2 = Tensor(a0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+    build(a2, b2).backward()
+    np.testing.assert_array_equal(a.grad, a2.grad)
+    np.testing.assert_array_equal(b.grad, b2.grad)
+    y = a0 @ b0
+    g = 2.0 * y + 3.0 * (y > 0)
+    np.testing.assert_allclose(a.grad, g @ b0.T, atol=1e-12)
+    np.testing.assert_allclose(b.grad, a0.T @ g, atol=1e-12)
+    assert out.item() == pytest.approx(float((y * y).sum() + 3.0 * np.maximum(y, 0).sum()))
 
 
 def test_determinism():
@@ -252,6 +302,24 @@ def test_grad_sum_axes_and_mean():
         return a.sum(axis=0, keepdims=True).sum() + a.sum(axis=1).sum() + a.mean() * 3.0
 
     assert grad_check(f, [a]).passed
+
+
+def test_grad_shift_rows_with_keep_mask():
+    rng = np.random.default_rng(27)
+    a = rand(rng, 6, 3)
+    w = Tensor(rng.normal(size=(6, 3)))
+    keep = np.array([True, False, True, True, False, True])
+
+    def f():
+        return ((ad.shift_rows(a, 1, keep) + ad.shift_rows(a, -1, keep)) * w).sum()
+
+    assert grad_check(f, [a]).passed
+    a.grad = None
+    f().backward()
+    # a row reaches only the kept rows it is shifted into
+    np.testing.assert_array_equal(a.grad[2], w.data[3])
+    np.testing.assert_array_equal(a.grad[0], np.zeros(3))
+    np.testing.assert_array_equal(a.grad[5], np.zeros(3))
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,6 +9,7 @@ from conftest import random_graph
 from labeltransfer import autodiff as ad
 from labeltransfer import fusion as fu
 from labeltransfer.autodiff import Tensor, grad_check
+from labeltransfer.errors import ShapeError
 from labeltransfer.fusion import (
     EmbeddingFile,
     InputError,
@@ -288,6 +289,28 @@ def test_encode_toy_deterministic_and_rejects_empty():
     np.testing.assert_array_equal(a, b)
     with pytest.raises(InputError):
         encode_toy(np.array([], dtype=np.intp), params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(1, 6), min_size=1, max_size=5))
+def test_encode_toy_batch_equals_stacked_sentences(seed, lengths):
+    rng = np.random.default_rng(seed)
+    params = make_params(rng)
+    ids = rng.integers(0, 11, size=sum(lengths))
+    batched = encode_toy(ids, params, lengths).data
+    bounds = np.cumsum([0] + lengths)
+    # no window reaches across a boundary: each block is that sentence's own encoding
+    stacked = np.concatenate([encode_toy(ids[lo:hi], params).data
+                              for lo, hi in zip(bounds[:-1], bounds[1:])])
+    np.testing.assert_allclose(batched, stacked, rtol=0, atol=1e-12)
+
+
+def test_encode_toy_rejects_bad_lengths():
+    params = make_params(np.random.default_rng(13))
+    with pytest.raises(InputError):
+        encode_toy(np.array([1, 2, 3]), params, [3, 0])
+    with pytest.raises(ShapeError):
+        encode_toy(np.array([1, 2, 3]), params, [2, 2])
 
 
 def test_vocab_unk_and_roundtrip():

@@ -244,6 +244,34 @@ def test_finetune_source_graph_frozen_during_training(task, f0):
     assert model.source_graph.to_json() == rebuilt.to_json()
 
 
+def test_file_encoder_through_training(task, tmp_path):
+    # one stored vector per token of every sentence the run reads
+    rng = np.random.default_rng(0)
+    path = tmp_path / "emb.jsonl"
+    written = set()
+    with open(path, "w", encoding="utf-8") as fh:
+        for corpus in (task.source_train, task.target_train, task.target_test):
+            for tokens, _ in corpus.sentences:
+                if tokens not in written:
+                    written.add(tokens)
+                    vectors = rng.normal(size=(len(tokens), 8)).tolist()
+                    fh.write(json.dumps({"tokens": list(tokens), "vectors": vectors}) + "\n")
+    cfg = TrainConfig(d_h=8, d_p=4, epochs=2, learning_rate=0.1, seed=0,
+                      encoder_mode="file", embedding_file=str(path))
+    f0_file = train_source(task.source_train, cfg)
+    model, log = finetune(f0_file, task.target_train, cfg)
+    assert len(log) == 2 and all(np.isfinite(row["total"]) for row in log)
+    assert 0.0 <= evaluate(model, task.target_test)[2] <= 1.0
+    # a batch reads each sentence's own vectors, in order
+    sentences = [tokens for tokens, _ in task.target_train.sentences[:4]]
+    np.testing.assert_array_equal(
+        model.encode(sentences).data,
+        np.concatenate([model.encode([tokens]).data for tokens in sentences]),
+    )
+    stacked = np.concatenate([model.tag_logits_array(tokens) for tokens in sentences])
+    np.testing.assert_allclose(model.forward(sentences)[0].data, stacked, rtol=0, atol=1e-12)
+
+
 def test_finetune_rejects_unlabeled_corpus(f0):
     with pytest.raises(InputError):
         finetune(f0, parse_conll("a O\n"), SMALL_CONFIG)
