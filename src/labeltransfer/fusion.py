@@ -17,8 +17,11 @@ constant additive block mask, so each sentence attends only to its own
 tokens and components; the GCN runs on the block-diagonal ``I_B ⊗ Â``
 (the batching of PyTorch Geometric); and the presence head pools each
 sentence with a (B × ΣN) averaging matrix. The masks are dense, (B·n_types ×
-ΣN), so their cost grows as B²: inference therefore runs one sentence at a
-time. ``lengths=None`` means one sentence, with no tiling and no mask.
+ΣN), so their cost grows as B²: inference therefore runs in small chunks of
+sentences (``pipeline.EVAL_CHUNK``), each one batched forward. ``lengths`` is
+the token counts or their checked `Segments`, built once per forward; the
+mask is built once in `fusion_forward` and `token_fusion` reads its
+transpose. ``lengths=None`` means one sentence, with no tiling and no mask.
 """
 
 from __future__ import annotations
@@ -80,6 +83,19 @@ class ModelParams:
     def trainable(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors() if t.requires_grad]
 
+    def block_shapes(self, vocab_size: int, fused: bool) -> dict[str, tuple[int, int]]:
+        """The shape of every parameter block a source or fused model holds."""
+        d_h, d_p, n_types, n_tags = self.d_h, self.d_p, self.n_types, self.n_tags
+        shapes = {"cls_w": (d_h, n_tags), "cls_b": (1, n_tags)}
+        if self.encoder_mode == "toy":
+            shapes.update(embed=(vocab_size, d_h), mix_left=(d_h, d_h), mix_center=(d_h, d_h),
+                          mix_right=(d_h, d_h), mix_bias=(1, d_h))
+        if fused:
+            shapes.update(label_reps=(n_types, d_p), proj_w=(d_h, d_p), proj_b=(1, d_p),
+                          out_w=(d_p, d_h), out_b=(1, d_h), gcn_w1=(d_p, d_p), gcn_w2=(d_p, d_p),
+                          aux_w=(d_h, n_types), aux_b=(1, n_types))
+        return shapes
+
 
 def _uniform(rng: np.random.Generator, shape, scale: float, trainable=True) -> Tensor:
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=trainable)
@@ -131,14 +147,27 @@ class Vocab:
         return len(self.itos)
 
 
-def _offsets(lengths, n_rows: int) -> np.ndarray:
-    """Row offsets [0, n_1, n_1 + n_2, ..., ΣN] of a batch's concatenated sentences."""
+class Segments(NamedTuple):
+    """Sentence layout of a batch's concatenated token rows, checked once per forward."""
+
+    lengths: np.ndarray  # token count per sentence
+    offsets: np.ndarray  # row offsets [0, n_1, n_1 + n_2, ..., ΣN]
+
+
+def segments(lengths) -> Segments:
+    """Check a batch's token counts (each >= 1) and lay out its rows."""
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.size == 0 or np.any(lengths < 1):
         raise InputError("empty sentence")
-    if lengths.sum() != n_rows:
-        raise ShapeError(f"sentence lengths sum to {lengths.sum()}, not {n_rows} rows")
-    return np.concatenate(([0], np.cumsum(lengths)))
+    return Segments(lengths, np.concatenate(([0], np.cumsum(lengths))))
+
+
+def _segments(lengths, n_rows: int) -> Segments:
+    """``lengths`` (token counts or checked `Segments`) as Segments over ``n_rows`` rows."""
+    seg = lengths if isinstance(lengths, Segments) else segments(lengths)
+    if seg.offsets[-1] != n_rows:
+        raise ShapeError(f"sentence lengths sum to {seg.offsets[-1]}, not {n_rows} rows")
+    return seg
 
 
 # off-block attention score: finite, since softmax_rows rejects non-finite
@@ -146,11 +175,10 @@ def _offsets(lengths, n_rows: int) -> np.ndarray:
 _OFF_BLOCK = -1e30
 
 
-def _block_mask(lengths, n_types: int, n_tokens: int) -> np.ndarray:
+def _block_mask(seg: Segments, n_types: int) -> np.ndarray:
     """Additive (B·n_types × ΣN) score mask: 0 where component and token share a sentence."""
-    _offsets(lengths, n_tokens)
-    sentences = np.arange(len(lengths))
-    token_sentence = np.repeat(sentences, lengths)
+    sentences = np.arange(len(seg.lengths))
+    token_sentence = np.repeat(sentences, seg.lengths)
     component_sentence = np.repeat(sentences, n_types)
     return np.where(component_sentence[:, None] == token_sentence, 0.0, _OFF_BLOCK)
 
@@ -165,7 +193,7 @@ def encode_toy(token_ids: np.ndarray, params: ModelParams, lengths=None) -> Tens
         raise InputError("empty sentence")
     keep_prev = keep_next = None
     if lengths is not None:
-        offsets = _offsets(lengths, len(token_ids))
+        offsets = _segments(lengths, len(token_ids)).offsets
         keep_prev = np.ones(len(token_ids), dtype=bool)
         keep_next = keep_prev.copy()
         keep_prev[offsets[:-1]] = False  # a sentence's first token has no left neighbour
@@ -222,37 +250,49 @@ class FusionTrace(NamedTuple):
     h_prime: Tensor  # n_s x d_h
 
 
-def label_attention(h: Tensor, params: ModelParams, lengths=None):
-    """Label-guided attention: per entity type, a softmax over tokens."""
+def label_attention(h: Tensor, params: ModelParams, mask=None):
+    """Label-guided attention: per entity type, a softmax over tokens.
+
+    ``mask`` is a batch's additive block mask (`_block_mask`), or None for
+    one sentence.
+    """
     q = ad.matmul(h, params.proj_w) + params.proj_b
     label_reps = params.label_reps
-    if lengths is not None:
-        label_reps = ad.rows_select(label_reps, np.tile(np.arange(params.n_types), len(lengths)))
+    if mask is not None:
+        n_sentences = mask.shape[0] // params.n_types
+        label_reps = ad.rows_select(label_reps, np.tile(np.arange(params.n_types), n_sentences))
     scores = ad.matmul(label_reps, ad.transpose(q))  # n_c x n_s
-    if lengths is not None:
-        scores = scores + Tensor(_block_mask(lengths, params.n_types, h.shape[0]))
+    if mask is not None:
+        scores = scores + Tensor(mask)
     alpha = ad.softmax_rows(scores)
     u = ad.matmul(alpha, q)
     return q, alpha, u
 
 
-def gcn_propagate(u: Tensor, graph: LabelGraph, params: ModelParams, lengths=None) -> Tensor:
-    """Two GCN layers over the (self-looped, normalized) graph adjacency."""
+def gcn_propagate(u: Tensor, graph: LabelGraph, params: ModelParams, n_sentences: int = 1) -> Tensor:
+    """Two GCN layers over the (self-looped, normalized) graph adjacency.
+
+    ``u`` holds ``n_sentences`` blocks of components, one block per sentence.
+    """
     if graph.n != params.n_types:
         raise InputError("graph labels do not align with label components")
     a_hat = graph.adjacency()
-    if lengths is not None:
-        a_hat = np.kron(np.eye(len(lengths)), a_hat)  # one copy of the graph per sentence
+    if n_sentences > 1:
+        a_hat = np.kron(np.eye(n_sentences), a_hat)  # one copy of the graph per sentence
     a_hat = Tensor(a_hat)
     hidden = ad.relu(ad.matmul(ad.matmul(a_hat, u), params.gcn_w1))
     return ad.matmul(ad.matmul(a_hat, hidden), params.gcn_w2)
 
 
-def token_fusion(h: Tensor, q: Tensor, u_prime: Tensor, params: ModelParams, lengths=None):
-    """Token-guided fusion: residual add of attention-weighted components."""
+def token_fusion(h: Tensor, q: Tensor, u_prime: Tensor, params: ModelParams, mask=None):
+    """Token-guided fusion: residual add of attention-weighted components.
+
+    ``mask`` is the batch's block mask of `label_attention`; the token scores
+    take its transpose.
+    """
     scores = ad.matmul(q, ad.transpose(u_prime))  # n_s x n_c
-    if lengths is not None:
-        scores = scores + Tensor(_block_mask(lengths, params.n_types, h.shape[0]).T)
+    if mask is not None:
+        scores = scores + Tensor(mask.T)
     beta = ad.softmax_rows(scores)
     mix = ad.matmul(beta, u_prime)
     h_prime = h + ad.matmul(mix, params.out_w) + params.out_b
@@ -260,9 +300,14 @@ def token_fusion(h: Tensor, q: Tensor, u_prime: Tensor, params: ModelParams, len
 
 
 def fusion_forward(h: Tensor, graph: LabelGraph, params: ModelParams, lengths=None) -> FusionTrace:
-    q, alpha, u = label_attention(h, params, lengths)
-    u_prime = gcn_propagate(u, graph, params, lengths)
-    beta, h_prime = token_fusion(h, q, u_prime, params, lengths)
+    """Label attention, GCN and token fusion; the batch mask is built once."""
+    mask, n_sentences = None, 1
+    if lengths is not None:
+        seg = _segments(lengths, h.shape[0])
+        mask, n_sentences = _block_mask(seg, params.n_types), len(seg.lengths)
+    q, alpha, u = label_attention(h, params, mask)
+    u_prime = gcn_propagate(u, graph, params, n_sentences)
+    beta, h_prime = token_fusion(h, q, u_prime, params, mask)
     return FusionTrace(q, alpha, u, u_prime, beta, h_prime)
 
 
@@ -299,8 +344,7 @@ def auxiliary_loss(h_prime: Tensor, present: np.ndarray, params: ModelParams, le
         n_s = h_prime.data.shape[0]
         pooled = h_prime.sum(axis=0, keepdims=True) / float(n_s)
     else:
-        lengths = np.asarray(lengths)
-        _offsets(lengths, h_prime.shape[0])
+        lengths = _segments(lengths, h_prime.shape[0]).lengths
         averaging = np.repeat(np.diag(1.0 / lengths), lengths, axis=1)  # B x n_s
         pooled = ad.matmul(Tensor(averaging), h_prime)
     present = np.asarray(present, dtype=np.float64).reshape(pooled.shape[0], -1)

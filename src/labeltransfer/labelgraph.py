@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -72,14 +73,21 @@ class LabelGraph:
         return build_graph(self.raw_nodes[idx], list(labels), self.threshold)
 
     def adjacency(self) -> np.ndarray:
-        """Symmetrically normalized binary adjacency with self-loops."""
+        """Symmetrically normalized binary adjacency with self-loops (read-only)."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
+        # built once per graph: the GCN reads it on every forward
         a = np.eye(self.n)
         for (i, j), _ in self.edges.items():
             a[i, j] = 1.0
             a[j, i] = 1.0
         d = a.sum(axis=1)
         inv_sqrt = 1.0 / np.sqrt(d)
-        return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+        a = a * inv_sqrt[:, None] * inv_sqrt[None, :]
+        a.flags.writeable = False
+        return a
 
     def to_json_dict(self) -> dict:
         return {

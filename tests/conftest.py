@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from labeltransfer import fusion as fu
 from labeltransfer.data import TaggedCorpus, parse_conll
 from labeltransfer.labelgraph import LabelGraph, build_graph
+from labeltransfer.pipeline import Model, TrainConfig, tags_for
+
+LABELS = ("A", "B", "C")
+TAGS = tags_for(LABELS)
+WORDS = [f"w{i}" for i in range(12)]
 
 
 def random_prob_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -21,6 +27,21 @@ def random_graph(rng: np.random.Generator, n: int, dim: int | None = None,
         g = build_graph(rows, [f"L{i}" for i in range(n)], threshold)
         if not g.degenerate:
             return g
+
+
+def make_model(kind: str, rng: np.random.Generator) -> Model:
+    """A small random source or fused model over LABELS and WORDS (d_h 6, d_p 4)."""
+    params = fu.ModelParams(d_h=6, d_p=4, n_types=len(LABELS), n_tags=len(TAGS),
+                            encoder_mode="toy")
+    fu.init_encoder_params(params, rng, len(WORDS) + 1)
+    config = TrainConfig(d_h=6, d_p=4, epochs=1)
+    if kind == "source":
+        params.cls_w = fu._uniform(rng, (6, len(TAGS)), 0.5)
+        params.cls_b = fu._uniform(rng, (1, len(TAGS)), 0.1)
+        return Model("source", params, fu.Vocab(WORDS), LABELS, config)
+    fu.init_fusion_params(params, rng)
+    graph = build_graph(rng.dirichlet(np.ones(4), size=len(LABELS)), list(LABELS), 1.5)
+    return Model("fused", params, fu.Vocab(WORDS), LABELS, config, source_graph=graph)
 
 
 class StubTagger:

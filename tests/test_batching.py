@@ -1,4 +1,5 @@
-"""One graph per mini-batch: the batched objective equals the per-sentence one."""
+"""One graph per mini-batch: the batched objective and the batched tagging
+equal the per-sentence ones."""
 
 from unittest import mock
 
@@ -6,32 +7,27 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TAGS, WORDS, make_model
 from labeltransfer import autodiff as ad
 from labeltransfer import fusion as fu
 from labeltransfer import pipeline
 from labeltransfer.autodiff import Tensor
-from labeltransfer.data import TaggedCorpus
+from labeltransfer.data import TaggedCorpus, extract_spans, micro_f1
 from labeltransfer.gw import gw_fixed_plan_loss
-from labeltransfer.labelgraph import build_graph, target_graph_from_batch
-from labeltransfer.pipeline import Model, TrainConfig, tags_for
+from labeltransfer.labelgraph import target_graph_from_batch
+from labeltransfer.pipeline import Model, TrainConfig
 
-LABELS = ("A", "B", "C")
-TAGS = tags_for(LABELS)
-WORDS = [f"w{i}" for i in range(12)]
 CONFIG = TrainConfig(d_h=6, d_p=4, lambda1=0.7, lambda2=0.4, temperature=2.0, epochs=1)
 
 
-def make_model(kind: str, rng: np.random.Generator) -> Model:
-    params = fu.ModelParams(d_h=6, d_p=4, n_types=len(LABELS), n_tags=len(TAGS),
-                            encoder_mode="toy")
-    fu.init_encoder_params(params, rng, len(WORDS) + 1)
-    if kind == "source":
-        params.cls_w = fu._uniform(rng, (6, len(TAGS)), 0.5)
-        params.cls_b = fu._uniform(rng, (1, len(TAGS)), 0.1)
-        return Model("source", params, fu.Vocab(WORDS), LABELS, CONFIG)
-    fu.init_fusion_params(params, rng)
-    graph = build_graph(rng.dirichlet(np.ones(4), size=len(LABELS)), list(LABELS), 1.5)
-    return Model("fused", params, fu.Vocab(WORDS), LABELS, CONFIG, source_graph=graph)
+def random_corpus(rng: np.random.Generator, lengths) -> TaggedCorpus:
+    sentences = []
+    for n in lengths:
+        tokens = tuple(rng.choice(WORDS, size=n))
+        tags = tuple(TAGS[i] if rng.random() < 0.4 else "O"
+                     for i in rng.integers(1, len(TAGS), size=n))
+        sentences.append((tokens, tags))
+    return TaggedCorpus(tuple(sentences))
 
 
 def parent_forward(model: Model, tokens) -> np.ndarray:
@@ -101,13 +97,7 @@ def leaf_grads(model: Model, loss: Tensor) -> dict:
 def test_batched_objective_equals_per_sentence_sum(seed, kind, lengths):
     rng = np.random.default_rng(seed)
     model = make_model(kind, rng)
-    sentences = []
-    for n in lengths:
-        tokens = tuple(rng.choice(WORDS, size=n))
-        tags = tuple(TAGS[i] if rng.random() < 0.4 else "O"
-                     for i in rng.integers(1, len(TAGS), size=n))
-        sentences.append((tokens, tags))
-    batch = pipeline._sentence_targets(model, TaggedCorpus(tuple(sentences)))
+    batch = pipeline._sentence_targets(model, random_corpus(rng, lengths))
     tokens = [sent.tokens for sent in batch]
 
     # a batch of one runs the per-sentence forward unchanged, bit for bit
@@ -140,3 +130,36 @@ def test_batched_objective_equals_per_sentence_sum(seed, kind, lengths):
     assert set(got) == set(want)
     for name in got:
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+# corpus sizes: whole multiples of the evaluation chunk, and any size up to 20
+corpus_sizes = st.one_of(st.sampled_from([8, 16]), st.integers(1, 20))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["source", "fused"]),
+    corpus_sizes.flatmap(lambda n: st.lists(st.integers(1, 14), min_size=n, max_size=n)),
+)
+def test_batched_evaluation_equals_per_sentence_tagging(seed, kind, lengths):
+    rng = np.random.default_rng(seed)
+    model = make_model(kind, rng)
+    corpus = random_corpus(rng, lengths)
+    sentences = [tokens for tokens, _ in corpus.sentences]
+    per_sentence = [model.predict_tags(tokens) for tokens in sentences]
+    assert model.tag_sentences(sentences) == per_sentence
+
+    forward = Model.forward
+    chunks = []
+
+    def recording_forward(self, batch):
+        chunks.append(len(batch))
+        return forward(self, batch)
+
+    with mock.patch.object(Model, "forward", recording_forward):
+        prf = pipeline.evaluate(model, corpus)
+    chunk = pipeline.EVAL_CHUNK
+    assert chunks == [min(chunk, len(lengths) - start) for start in range(0, len(lengths), chunk)]
+    predicted = TaggedCorpus(tuple(zip(sentences, map(tuple, per_sentence))))
+    assert prf == micro_f1(extract_spans(corpus), extract_spans(predicted))

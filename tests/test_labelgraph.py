@@ -149,6 +149,15 @@ def test_single_node_graph_has_no_edges():
     assert g.edges == {} and g.degenerate
 
 
+def test_adjacency_is_built_once_and_read_only():
+    g = build_graph(np.array([[0.9, 0.1], [0.8, 0.2]]), ["A", "B"], threshold=5.0)
+    a_hat = g.adjacency()
+    assert g.adjacency() is a_hat
+    np.testing.assert_allclose(a_hat, np.full((2, 2), 0.5), atol=1e-12)
+    with pytest.raises(ValueError):
+        a_hat[0, 0] = 1.0
+
+
 def test_build_graph_rejects_table_and_empty():
     with pytest.raises(TypeError):
         build_graph(ConditionalTable(("A",), ("s",), np.array([[1.0]]), (1,)), ["A"], 1.5)

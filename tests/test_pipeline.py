@@ -1,14 +1,21 @@
 """Training pipeline: source tagger, graph freezing, fine-tuning, sweeps, I/O."""
 
 import json
+import math
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_model
+from labeltransfer import fusion as fu
 from labeltransfer import pipeline
 from labeltransfer.data import InputError, parse_conll
+from labeltransfer.errors import LabelTransferError, NumericError
 from labeltransfer.pipeline import (
     Model,
     TrainConfig,
@@ -31,6 +38,15 @@ SMALL_SPEC = SynthSpec(
 )
 
 SMALL_CONFIG = TrainConfig(d_h=16, d_p=8, epochs=40, learning_rate=0.3, seed=0)
+
+
+# small enough that random bit flips often hit a block header
+TINY_CHECKPOINTS = {kind: make_model(kind, np.random.default_rng(0)).save_bytes()
+                    for kind in ("source", "fused")}
+
+
+def param_arrays(model: Model) -> dict:
+    return {name: t.data.copy() for name, t in model.params.named_tensors()}
 
 
 @pytest.fixture(scope="module")
@@ -270,11 +286,53 @@ def test_file_encoder_through_training(task, tmp_path):
     )
     stacked = np.concatenate([model.tag_logits_array(tokens) for tokens in sentences])
     np.testing.assert_allclose(model.forward(sentences)[0].data, stacked, rtol=0, atol=1e-12)
+    assert model.tag_sentences(sentences) == [model.predict_tags(tokens) for tokens in sentences]
 
 
 def test_finetune_rejects_unlabeled_corpus(f0):
     with pytest.raises(InputError):
         finetune(f0, parse_conll("a O\n"), SMALL_CONFIG)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_sgd_step_rejects_non_finite_gradient_and_loss(bad):
+    model = make_model("fused", np.random.default_rng(0))
+    before = param_arrays(model)
+    for tensor in model.params.trainable():
+        tensor.grad = np.ones_like(tensor.data)
+    model.params.cls_w.grad[0, 0] = bad
+    with pytest.raises(NumericError, match="epoch 3, batch 1"):
+        pipeline._sgd_step(model.params, 0.1, 1.0, "epoch 3, batch 1")
+    model.params.cls_w.grad[0, 0] = 1.0
+    with pytest.raises(NumericError):
+        pipeline._sgd_step(model.params, 0.1, bad, "epoch 0, batch 0")
+    for name, data in param_arrays(model).items():
+        np.testing.assert_array_equal(data, before[name], err_msg=name)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_training_stops_before_a_non_finite_step(bad):
+    # 20 sentences in batches of 8: three batches per epoch, the fifth is epoch 1, batch 1
+    corpus = parse_conll("\n".join("w1 B-A\nw2 I-A\nw3 O\nw4 B-C\n" for _ in range(20)))
+    model = make_model("fused", np.random.default_rng(0))
+    config = replace(model.config, batch_size=8, epochs=2)
+    loss = fu.classification_loss_from_logits
+    calls, before = [], {}
+
+    def poisoned_loss(logits, gold):
+        calls.append(None)
+        if len(calls) < 5:
+            return loss(logits, gold)
+        before.update(param_arrays(model))
+        return loss(logits, gold) * bad
+
+    # backward through an infinite loss makes NaN gradients: silence numpy's warnings
+    with np.errstate(invalid="ignore"), \
+            mock.patch.object(fu, "classification_loss_from_logits", poisoned_loss):
+        with pytest.raises(NumericError, match="epoch 1, batch 1"):
+            list(pipeline._train(model, corpus, config, np.random.default_rng(0)))
+    for name, data in param_arrays(model).items():
+        np.testing.assert_array_equal(data, before[name], err_msg=name)
 
 
 # -- evaluation ------------------------------------------------------------------------------
@@ -332,6 +390,29 @@ def _with_flipped_block_name(raw: bytes) -> bytes:
     return raw[:at] + bytes([raw[at] ^ 0x20]) + raw[at + 1 :]
 
 
+def _first_block_at(raw: bytes) -> int:
+    """Offset of the first parameter block's ndim byte (the block is ``embed``)."""
+    (mlen,) = struct.unpack("<I", raw[5:9])
+    at = 9 + mlen + 4  # block count
+    (nlen,) = struct.unpack("<H", raw[at : at + 2])
+    assert raw[at + 2 : at + 2 + nlen] == b"embed"
+    return at + 2 + nlen
+
+
+def _with_flipped_ndim(raw: bytes) -> bytes:
+    # ndim 2 becomes 6: dims are read from float bytes, far more elements than the file holds
+    at = _first_block_at(raw)
+    return raw[:at] + bytes([raw[at] ^ 0x04]) + raw[at + 1 :]
+
+
+def _with_first_value(value: float):
+    def corrupt(raw: bytes) -> bytes:
+        at = _first_block_at(raw)
+        first = at + 1 + 4 * raw[at]  # embed[0, 0]
+        return raw[:first] + struct.pack("<d", value) + raw[first + 8 :]
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -341,12 +422,70 @@ def _with_flipped_block_name(raw: bytes) -> bytes:
         lambda raw: raw + b"\x00",  # trailing byte
         _with_unknown_config_field,
         _with_flipped_block_name,
+        _with_flipped_ndim,
+        _with_first_value(math.inf),
+        _with_first_value(math.nan),
+        lambda raw: _with_meta(raw, lambda meta: meta.update(kind="sourcg")),
+        lambda raw: _with_meta(raw, lambda meta: meta["vocab"].pop()),  # embed has a row too many
     ],
-    ids=["cut7", "cut40", "cut_tail", "trailing_byte", "unknown_config_field", "block_name_flip"],
+    ids=["cut7", "cut40", "cut_tail", "trailing_byte", "unknown_config_field", "block_name_flip",
+         "ndim_flip_bit2", "inf_value", "nan_value", "unknown_kind",
+         "block_shape"],
 )
 def test_checkpoint_rejects_malformed(f0, corrupt):
     with pytest.raises(InputError):
         Model.load_bytes(corrupt(f0.save_bytes()))
+
+
+def _flip(raw: bytes, bit: int) -> bytes:
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _block_header_bytes(raw: bytes) -> list[int]:
+    """Offsets of every parameter block's name length, name, ndim and dims."""
+    (mlen,) = struct.unpack("<I", raw[5:9])
+    (nblocks,) = struct.unpack("<I", raw[9 + mlen : 13 + mlen])
+    at, out = 13 + mlen, []
+    for _ in range(nblocks):
+        (nlen,) = struct.unpack("<H", raw[at : at + 2])
+        ndim = raw[at + 2 + nlen]
+        end = at + 2 + nlen + 1 + 4 * ndim
+        out.extend(range(at, end))
+        dims = struct.unpack(f"<{ndim}I", raw[end - 4 * ndim : end])
+        at = end + 8 * math.prod(dims)
+    return out
+
+
+def _corruptions(raw: bytes):
+    # a flip anywhere mostly lands in the float data, so the block headers get their own draws
+    any_bit = st.integers(0, 8 * len(raw) - 1)
+    header_bit = st.sampled_from(_block_header_bytes(raw)).flatmap(
+        lambda at: st.integers(8 * at, 8 * at + 7))
+    return st.one_of(
+        st.one_of(any_bit, header_bit).map(lambda bit: _flip(raw, bit)),
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(TINY_CHECKPOINTS)).flatmap(
+    lambda kind: _corruptions(TINY_CHECKPOINTS[kind])))
+def test_corrupted_checkpoint_loads_finite_or_raises_input_error(raw):
+    try:
+        model = Model.load_bytes(raw)
+    except InputError:
+        return
+    for name, tensor in model.params.named_tensors():
+        assert np.all(np.isfinite(tensor.data)), name
+    # a model that loads tags, or fails with a package error (a huge finite
+    # weight can overflow the forward)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            model.predict_tags(["w1", "w2"])
+        except LabelTransferError:
+            pass
 
 
 def test_checkpoint_stores_graph_inputs_and_loads_older_layout(task, f0):
