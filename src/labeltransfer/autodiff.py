@@ -2,19 +2,31 @@
 
 Every operation records a backward closure on the enclosing graph; calling
 ``backward()`` on a scalar output accumulates gradients into every reachable
-tensor with ``requires_grad=True``. ``backward()`` frees the tape as it goes:
-once a non-leaf node's closure has run, the node drops its ``grad``, its
-parents and its closure, so a graph can be backpropagated once. Leaves (the
-tensors built directly with ``requires_grad=True``, such as parameters) keep
-their accumulated ``.grad``. Inside ``with no_grad():`` operations record
-nothing, for inference. The op set is deliberately small: just
-what the fusion network, the losses, and the graph-matching term need.
+tensor with ``requires_grad=True``. Each recorded node is numbered when it is
+made, after its parents, so ``backward()`` runs the reachable closures in
+reverse creation order, which is a topological order of the tape. A node's
+first incoming gradient is stored as a copy (a closure may hand one array to
+two parents) and later ones are added to it in place; a gradient whose
+shape differs from the node's data raises ShapeError. ``backward()`` frees
+the tape as it goes: once a non-leaf node's closure has run, the node drops
+its ``grad``, its parents and its closure, so a graph can be backpropagated
+once. Leaves (the tensors built directly with ``requires_grad=True``, such as
+parameters) keep their accumulated ``.grad``. Inside ``with no_grad():``
+operations record nothing, for inference. The op set is deliberately small:
+just what the fusion network, the losses, and the graph-matching term need.
+Two ops fuse a chain of smaller ones into one node with a hand-written
+backward: ``cross_entropy_rows`` (the mean of ``-pick(log_softmax_rows(a),
+ids)``) and ``window_mix`` (the toy encoder's window-3 mixing layer with
+residual); each computes its forward with the same array operations as the
+chain it replaces, so their values agree bit for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,6 +35,10 @@ from .errors import InputError, NumericError, ShapeError
 
 # False inside no_grad(): Tensor._make then links no parents or backward closure
 _grad_enabled = True
+
+# numbers recorded nodes in creation order; backward() runs them in reverse
+_creation = itertools.count(1)
+_creation_order = attrgetter("_order")
 
 
 @contextlib.contextmanager
@@ -57,7 +73,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A float64 array plus gradient bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_order")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -65,6 +81,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._backward = None
         self._parents = ()
+        self._order = 0  # set by _make on a recorded node
 
     @property
     def shape(self):
@@ -85,38 +102,39 @@ class Tensor:
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
+            out._order = next(_creation)
         return out
 
     def _accum(self, grad: np.ndarray):
+        if grad.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {grad.shape} for a tensor of shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad.copy()  # owned: a closure may pass one array to two parents
+        else:
+            self.grad += grad
 
     def backward(self):
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        nodes: list[Tensor] = []  # the recorded nodes reachable from self
+        seen: set[Tensor] = set()
+        stack = [self]
         while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
+            node = stack.pop()
+            if node._backward is None or node in seen:
                 continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
+            seen.add(node)
+            nodes.append(node)
+            stack.extend(node._parents)
+        # a node is made after its parents, so every node's consumers run first
+        nodes.sort(key=_creation_order, reverse=True)
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-                # free the tape: only leaf grads are read after backward()
-                node.grad = None
-                node._parents = ()
-                node._backward = None
+        for node in nodes:
+            node._backward(node.grad)
+            # free the tape: only leaf grads are read after backward()
+            node.grad = None
+            node._parents = ()
+            node._backward = None
 
     # -- elementwise arithmetic (numpy broadcasting) --------------------
 
@@ -297,6 +315,33 @@ def pick(a: Tensor, ids) -> Tensor:
     return Tensor._make(a.data[rows, ids], (a,), backward)
 
 
+def cross_entropy_rows(a: Tensor, ids) -> Tensor:
+    """Mean over rows of -log softmax(a)[i, ids[i]], as one op.
+
+    The forward runs the array operations of
+    ``-pick(log_softmax_rows(a), ids).sum() / len(ids)`` in their order, so
+    the two agree bit for bit.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    if a.data.ndim != 2 or ids.ndim != 1 or ids.shape[0] != a.data.shape[0]:
+        raise ShapeError("cross_entropy_rows expects a 2-D tensor and one index per row")
+    if not np.all(np.isfinite(a.data)):
+        raise NumericError("cross_entropy_rows: non-finite input")
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    rows = np.arange(ids.shape[0])
+    n = float(ids.shape[0])
+
+    def backward(g):
+        if a.requires_grad:
+            k = g / n
+            grad = np.exp(logp) * k  # softmax minus one-hot, times k
+            grad[rows, ids] -= k
+            a._accum(grad)
+
+    return Tensor._make(-logp[rows, ids].sum() / n, (a,), backward)
+
+
 def rows_select(a: Tensor, ids) -> Tensor:
     """Gather rows (embedding lookup); duplicate ids accumulate gradient."""
     ids = np.asarray(ids, dtype=np.intp)
@@ -305,11 +350,42 @@ def rows_select(a: Tensor, ids) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, ids, g)
-            a._accum(full)
+            # scatter straight into a's own buffer; grad has one row per id
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, ids, g)
 
     return Tensor._make(a.data[ids], (a,), backward)
+
+
+def _shifted(x: np.ndarray, k: int, keep) -> np.ndarray:
+    """``x``'s rows shifted down by k (k>0) or up (k<0); vacated and unkept rows are 0."""
+    n = x.shape[0]
+    out = np.zeros_like(x)
+    if k >= 0:
+        out[k:] = x[: n - k]
+    else:
+        out[:k] = x[-k:]
+    if keep is not None:
+        out[~keep] = 0.0
+    return out
+
+
+def _unshifted(g: np.ndarray, k: int, keep) -> np.ndarray:
+    """The adjoint of `_shifted`: the gradient of its input from that of its output."""
+    if keep is not None:
+        g = g.copy()
+        g[~keep] = 0.0
+    return _shifted(g, -k, None)
+
+
+def _keep_mask(keep, n: int):
+    if keep is None:
+        return None
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (n,):
+        raise ShapeError("keep needs one flag per row")
+    return keep
 
 
 def shift_rows(a: Tensor, k: int, keep=None) -> Tensor:
@@ -319,32 +395,48 @@ def shift_rows(a: Tensor, k: int, keep=None) -> Tensor:
     is False are zeroed too. A batch of concatenated sentences passes False
     at the rows whose shifted value would come from another sentence.
     """
-    n = a.data.shape[0]
-    out = np.zeros_like(a.data)
-    if k >= 0:
-        out[k:] = a.data[: n - k]
-    else:
-        out[:k] = a.data[-k:]
-    if keep is not None:
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (n,):
-            raise ShapeError("shift_rows: keep needs one flag per row")
-        out[~keep] = 0.0
+    keep = _keep_mask(keep, a.data.shape[0])
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if keep is not None:
-            g = g.copy()
-            g[~keep] = 0.0
-        full = np.zeros_like(a.data)
-        if k >= 0:
-            full[: n - k] = g[k:]
-        else:
-            full[-k:] = g[:k]
-        a._accum(full)
+        if a.requires_grad:
+            a._accum(_unshifted(g, k, keep))
 
-    return Tensor._make(out, (a,), backward)
+    return Tensor._make(_shifted(a.data, k, keep), (a,), backward)
+
+
+def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Tensor,
+               keep_prev=None, keep_next=None) -> Tensor:
+    """``e + relu(shift(e, 1) @ left + e @ center + shift(e, -1) @ right + bias)`` as one op.
+
+    The toy encoder's window-3 mixing layer with residual; ``keep_prev`` and
+    ``keep_next`` are the `shift_rows` masks of the two shifted copies. The
+    forward runs the array operations of that composition in its order, so
+    the two agree bit for bit.
+    """
+    x = e.data
+    if (x.ndim != 2 or {w.data.shape for w in (left, center, right)} != {(x.shape[1],) * 2}
+            or bias.data.shape != (1, x.shape[1])):
+        raise ShapeError("window_mix expects (n, d) rows, three (d, d) weights and a (1, d) bias")
+    keep_prev, keep_next = _keep_mask(keep_prev, x.shape[0]), _keep_mask(keep_next, x.shape[0])
+    prev, nxt = _shifted(x, 1, keep_prev), _shifted(x, -1, keep_next)
+    mixed = prev @ left.data + x @ center.data + nxt @ right.data + bias.data
+    mask = mixed > 0
+
+    def backward(g):
+        gm = g * mask  # through the relu
+        if left.requires_grad:
+            left._accum(prev.T @ gm)
+        if center.requires_grad:
+            center._accum(x.T @ gm)
+        if right.requires_grad:
+            right._accum(nxt.T @ gm)
+        if bias.requires_grad:
+            bias._accum(gm.sum(axis=0, keepdims=True))
+        if e.requires_grad:
+            e._accum(g + gm @ center.data.T + _unshifted(gm @ left.data.T, 1, keep_prev)
+                     + _unshifted(gm @ right.data.T, -1, keep_next))
+
+    return Tensor._make(x + mixed * mask, (e, left, center, right, bias), backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:

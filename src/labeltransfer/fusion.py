@@ -199,13 +199,8 @@ def encode_toy(token_ids: np.ndarray, params: ModelParams, lengths=None) -> Tens
         keep_prev[offsets[:-1]] = False  # a sentence's first token has no left neighbour
         keep_next[offsets[1:] - 1] = False  # nor its last a right one
     e = ad.rows_select(params.embed, token_ids)
-    mixed = (
-        ad.matmul(ad.shift_rows(e, 1, keep_prev), params.mix_left)
-        + ad.matmul(e, params.mix_center)
-        + ad.matmul(ad.shift_rows(e, -1, keep_next), params.mix_right)
-        + params.mix_bias
-    )
-    return e + ad.relu(mixed)
+    return ad.window_mix(e, params.mix_left, params.mix_center, params.mix_right, params.mix_bias,
+                         keep_prev, keep_next)
 
 
 class EmbeddingFile:
@@ -269,6 +264,15 @@ def label_attention(h: Tensor, params: ModelParams, mask=None):
     return q, alpha, u
 
 
+def block_diagonal(a: np.ndarray, copies: int) -> np.ndarray:
+    """``np.kron(np.eye(copies), a)`` for a square ``a``: one copy of ``a`` per diagonal block."""
+    n = a.shape[0]
+    blocks = np.zeros((copies, n, copies, n))
+    diagonal = np.arange(copies)
+    blocks[diagonal, :, diagonal, :] = a
+    return blocks.reshape(copies * n, copies * n)
+
+
 def gcn_propagate(u: Tensor, graph: LabelGraph, params: ModelParams, n_sentences: int = 1) -> Tensor:
     """Two GCN layers over the (self-looped, normalized) graph adjacency.
 
@@ -278,7 +282,7 @@ def gcn_propagate(u: Tensor, graph: LabelGraph, params: ModelParams, n_sentences
         raise InputError("graph labels do not align with label components")
     a_hat = graph.adjacency()
     if n_sentences > 1:
-        a_hat = np.kron(np.eye(n_sentences), a_hat)  # one copy of the graph per sentence
+        a_hat = block_diagonal(a_hat, n_sentences)
     a_hat = Tensor(a_hat)
     hidden = ad.relu(ad.matmul(ad.matmul(a_hat, u), params.gcn_w1))
     return ad.matmul(ad.matmul(a_hat, hidden), params.gcn_w2)
@@ -324,8 +328,7 @@ def classification_loss_from_logits(logits: Tensor, gold_tag_ids) -> Tensor:
     gold_tag_ids = np.asarray(gold_tag_ids, dtype=np.intp)
     if np.any(gold_tag_ids < 0) or np.any(gold_tag_ids >= logits.data.shape[1]):
         raise InputError("gold tag id outside tag set")
-    logp = ad.log_softmax_rows(logits)
-    return -ad.pick(logp, gold_tag_ids).sum() / float(len(gold_tag_ids))
+    return ad.cross_entropy_rows(logits, gold_tag_ids)
 
 
 def classification_loss(h_prime: Tensor, gold_tag_ids, params: ModelParams) -> Tensor:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labeltransfer import autodiff as ad
@@ -333,3 +333,186 @@ def test_grad_random_composite(seed):
         return (ad.softmax_rows(z) * ad.relu(z)).sum()
 
     assert grad_check(f, [a, b]).passed
+
+
+# -- fused ops: equal to the op-by-op composition they replace ------------------
+
+
+def _leaf_grads(out: Tensor, leaves: list[Tensor]) -> list[np.ndarray]:
+    for t in leaves:
+        t.grad = None
+    out.backward()
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.grad = None
+    return grads
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 9), st.integers(2, 6))
+@example(0, 1, 3)  # one row
+def test_cross_entropy_rows_equals_log_softmax_pick_composition(seed, n, k):
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.normal(scale=3.0, size=(n, k)), requires_grad=True)
+    ids = rng.integers(0, k, size=n)
+    w = Tensor(rng.normal(size=(n, k)))
+
+    # a second consumer of `a` and a scale on the loss: g reaching the op is not 1
+    def fused():
+        return 0.7 * ad.cross_entropy_rows(a, ids) + (a * w).sum()
+
+    def composed():
+        return 0.7 * (-ad.pick(ad.log_softmax_rows(a), ids).sum() / float(n)) + (a * w).sum()
+
+    assert ad.cross_entropy_rows(a, ids).data.tobytes() == (
+        -ad.pick(ad.log_softmax_rows(a), ids).sum() / float(n)).data.tobytes()
+    got, want = _leaf_grads(fused(), [a]), _leaf_grads(composed(), [a])
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    assert grad_check(fused, [a]).passed
+
+
+def test_cross_entropy_rows_errors():
+    with pytest.raises(ShapeError):
+        ad.cross_entropy_rows(Tensor(np.zeros((2, 3))), [0])
+    with pytest.raises(NumericError):
+        ad.cross_entropy_rows(Tensor([[np.nan, 0.0]]), [0])
+
+
+def _window_composition(e, left, center, right, bias, keep_prev, keep_next):
+    mixed = (
+        ad.matmul(ad.shift_rows(e, 1, keep_prev), left)
+        + ad.matmul(e, center)
+        + ad.matmul(ad.shift_rows(e, -1, keep_next), right)
+        + bias
+    )
+    return e + ad.relu(mixed)
+
+
+def _sentence_masks(lengths):
+    """The encoder's keep masks: no window reaches across a sentence boundary."""
+    offsets = np.cumsum([0] + lengths)
+    keep_prev = np.ones(offsets[-1], dtype=bool)
+    keep_next = keep_prev.copy()
+    keep_prev[offsets[:-1]] = False
+    keep_next[offsets[1:] - 1] = False
+    return keep_prev, keep_next
+
+
+@pytest.mark.parametrize("lengths", [[1], [5], [3, 1, 4], [2, 2]])
+@pytest.mark.parametrize("masked", [True, False])
+def test_window_mix_equals_shift_matmul_relu_composition(lengths, masked):
+    rng = np.random.default_rng(sum(lengths) + 10 * masked)
+    d = 3
+    embed = rand(rng, 6, d)
+    left, center, right, bias = rand(rng, d, d), rand(rng, d, d), rand(rng, d, d), rand(rng, 1, d)
+    ids = rng.integers(0, 6, size=sum(lengths))  # duplicates accumulate in embed
+    keep_prev, keep_next = _sentence_masks(lengths) if masked else (None, None)
+    w = Tensor(rng.normal(size=(len(ids), d)))
+    leaves = [embed, left, center, right, bias]
+
+    def fused():
+        e = ad.rows_select(embed, ids)
+        return (ad.window_mix(e, left, center, right, bias, keep_prev, keep_next) * w).sum()
+
+    def composed():
+        e = ad.rows_select(embed, ids)
+        return (_window_composition(e, left, center, right, bias, keep_prev, keep_next) * w).sum()
+
+    e = Tensor(embed.data[ids])
+    np.testing.assert_array_equal(
+        ad.window_mix(e, left, center, right, bias, keep_prev, keep_next).data,
+        _window_composition(e, left, center, right, bias, keep_prev, keep_next).data)
+    for got, want in zip(_leaf_grads(fused(), leaves), _leaf_grads(composed(), leaves)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    report = grad_check(fused, leaves)
+    assert report.passed, f"max rel err {report.max_rel_err}"
+
+
+def test_window_mix_rejects_bad_shapes():
+    rng = np.random.default_rng(5)
+    e, sq, bias = rand(rng, 4, 3), rand(rng, 3, 3), rand(rng, 1, 3)
+    with pytest.raises(ShapeError):
+        ad.window_mix(e, sq, sq, rand(rng, 3, 2), bias)
+    with pytest.raises(ShapeError):
+        ad.window_mix(e, sq, sq, sq, rand(rng, 1, 2))
+    with pytest.raises(ShapeError):
+        ad.window_mix(e, sq, sq, sq, bias, keep_prev=np.ones(3, dtype=bool))
+
+
+# -- gradient accumulation and backward order ---------------------------------------
+
+
+def test_accum_rejects_a_gradient_of_the_wrong_shape():
+    a = Tensor(np.ones((3, 2)), requires_grad=True)
+
+    def backward(g):
+        a._accum(g.sum(axis=0, keepdims=True))  # (1, 2) for a (3, 2) parent
+
+    out = Tensor._make(a.data * 2.0, (a,), backward)
+    with pytest.raises(ShapeError):
+        out.sum().backward()
+
+
+def test_first_gradient_is_copied_when_one_array_reaches_two_parents():
+    rng = np.random.default_rng(6)
+    a, b = rand(rng, 2, 3), rand(rng, 2, 3)
+    w = rng.normal(size=(2, 3))
+
+    def backward(g):
+        a._accum(g)  # the same array to both parents
+        b._accum(g)
+
+    later = (a * 3.0).sum() + (b * b).sum()  # made first, so these closures run last
+    shared = Tensor._make(a.data + b.data, (a, b), backward)
+    ((shared * Tensor(w)).sum() + later).backward()
+    assert a.grad is not b.grad
+    np.testing.assert_allclose(a.grad, w + 3.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(b.grad, w + 2.0 * b.data, rtol=0, atol=1e-15)
+
+
+def test_rows_select_scatters_into_an_existing_gradient():
+    a = Tensor(np.zeros((4, 2)), requires_grad=True)
+    w = np.arange(8.0).reshape(4, 2)
+    picked = (ad.rows_select(a, [3, 1, 3]) * 2.0).sum()  # made first, runs last
+    (picked + (a * Tensor(w)).sum()).backward()
+    np.testing.assert_array_equal(a.grad, w + 2.0 * np.array([[0], [1], [0], [2]]))
+
+
+def _dfs_order_backward(out: Tensor) -> list[Tensor]:
+    """Run ``out``'s closures in the order of a two-pass depth-first search
+    (post-order, reversed), the other topological order; returns that order."""
+    topo, seen, stack = [], set(), [(out, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif node not in seen and node._backward is not None:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents)
+    out._accum(np.ones_like(out.data))
+    for node in reversed(topo):
+        node._backward(node.grad)
+    return topo[::-1]
+
+
+def test_backward_in_creation_order_equals_depth_first_order():
+    rng = np.random.default_rng(7)
+    x0, w0 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+
+    def build(x, w):
+        y = ad.matmul(x, w)     # made first; reached by three paths
+        z = ad.relu(y) * 2.0    # made before s, listed before it below
+        s = ad.softmax_rows(y)
+        t = ad.matmul(s, y) + z
+        return (t * z).sum() + ad.log_softmax_rows(y).sum()
+
+    x, w = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+    build(x, w).backward()
+
+    x2, w2 = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+    depth_first = _dfs_order_backward(build(x2, w2))
+    # the two orders really differ on this graph
+    assert depth_first != sorted(depth_first, key=lambda t: t._order, reverse=True)
+    np.testing.assert_allclose(x.grad, x2.grad, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w.grad, w2.grad, rtol=0, atol=1e-15)

@@ -360,3 +360,12 @@ def test_attention_rows_always_normalized(seed, n_tokens):
     np.testing.assert_allclose(trace.alpha.data.sum(axis=1), np.ones(3), atol=1e-10)
     np.testing.assert_allclose(trace.beta.data.sum(axis=1), np.ones(n_tokens), atol=1e-10)
     assert np.all(trace.alpha.data >= 0) and np.all(trace.beta.data >= 0)
+
+
+@pytest.mark.parametrize("copies", range(1, 9))
+def test_block_diagonal_equals_kron(copies):
+    a_hat = make_graph(np.random.default_rng(copies), n_types=4).adjacency()
+    got = fu.block_diagonal(a_hat, copies)
+    want = np.kron(np.eye(copies), a_hat)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
