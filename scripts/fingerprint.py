@@ -19,13 +19,14 @@ which measures a change that moves results by rounding only.
 import argparse
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 
 from labeltransfer.data import greedy_sample
 from labeltransfer.pipeline import TrainConfig, evaluate, finetune, train_source
-from labeltransfer.synth import TRANSFER_CONFIG, TRANSFER_MIX, TRANSFER_SPEC, SynthSpec, generate
+from labeltransfer.synth import (
+    TRANSFER_CONFIG, TRANSFER_MIX, TRANSFER_SPEC, SynthSpec, generate, transfer_variants,
+)
 
 
 def sha(data: bytes) -> str:
@@ -61,10 +62,8 @@ def main():
     few = greedy_sample(task.target_train, 20, seed=seed)
     out = {"seed": seed, "f0": params_sha(f0)}
     arrays = param_arrays("f0", f0)
-    for name, flags in (("full", {}), ("no_gw", {"ablate_gw": True}),
-                        ("no_aux", {"ablate_aux": True}),
-                        ("none", {"ablate_aux": True, "ablate_gw": True})):
-        model, log = finetune(f0, few, replace(base, **flags))
+    for name, config in transfer_variants(base).items():
+        model, log = finetune(f0, few, config)
         out[name] = {
             "params": params_sha(model),
             "source_graph": sha(model.source_graph.to_json().encode()),

@@ -3,19 +3,28 @@
 
 Trains a coarse-label source tagger, few-shot samples the fine-label target
 corpus, and fine-tunes four variants per seed: the full objective, each
-auxiliary term ablated, and both ablated. Prints per-seed and mean test F1.
+auxiliary term ablated, and both ablated. Prints per-seed and mean test F1
+and the five margins the acceptance gate asserts non-negative.
+
+``--json-out PATH`` also writes a quality record: the per-seed F1, the four
+means, the five margins, the wall time, and the machine (``nproc``, numpy,
+python and ``git rev-parse HEAD``).
 """
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from labeltransfer.data import greedy_sample
 from labeltransfer.pipeline import TrainConfig, evaluate, finetune, train_source
-from labeltransfer.synth import TRANSFER_CONFIG, TRANSFER_MIX, TRANSFER_SPEC, SynthSpec, generate
+from labeltransfer.synth import (
+    TRANSFER_CONFIG, TRANSFER_MIX, TRANSFER_SPEC, SynthSpec, generate, transfer_variants,
+)
 
 
 def build_spec(seed: int) -> SynthSpec:
@@ -26,12 +35,36 @@ def build_config(seed: int) -> TrainConfig:
     return TrainConfig(seed=seed, **TRANSFER_CONFIG)
 
 
+def gate_margins(means: dict[str, float]) -> dict[str, float]:
+    """The five margins the acceptance gate asserts non-negative."""
+    return {
+        "full-no_gw": means["full"] - means["no_gw"],
+        "full-no_aux": means["full"] - means["no_aux"],
+        "no_gw-none": means["no_gw"] - means["none"],
+        "no_aux-none": means["no_aux"] - means["none"],
+        "full-none-0.02": means["full"] - means["none"] - 0.02,
+    }
+
+
+def machine() -> dict:
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                              check=True, cwd=os.path.dirname(os.path.abspath(__file__)))
+        head = head.stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        head = None
+    return {"nproc": os.cpu_count(), "numpy": np.__version__,
+            "python": platform.python_version(), "git_head": head}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=5, help="number of seeds (default 5)")
     parser.add_argument("--k", type=int, default=20, help="few-shot entities per type")
     parser.add_argument("--json-out", help="optional path for machine-readable results")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     results: dict[str, list[float]] = {}
     start = time.time()
@@ -40,12 +73,7 @@ def main():
         base = build_config(seed)
         f0 = train_source(task.source_train, base)
         few = greedy_sample(task.target_train, args.k, seed=seed)
-        variants = {
-            "full": base,
-            "no_gw": replace(base, ablate_gw=True),
-            "no_aux": replace(base, ablate_aux=True),
-            "none": replace(base, ablate_aux=True, ablate_gw=True),
-        }
+        variants = transfer_variants(base)
         for name, cfg in variants.items():
             model, _ = finetune(f0, few, cfg)
             _, _, f1 = evaluate(model, task.target_test)
@@ -54,16 +82,21 @@ def main():
             f"{name}={results[name][-1]:.4f}" for name in variants
         ))
 
-    print(f"\nelapsed: {time.time() - start:.1f}s")
+    wall_s = time.time() - start
+    print(f"\nelapsed: {wall_s:.1f}s")
     print(f"{'variant':8s}  {'mean F1':>8s}  {'std':>8s}  per-seed")
-    for name in ("full", "no_gw", "no_aux", "none"):
-        vals = np.asarray(results[name])
+    for name, vals in results.items():
         per_seed = " ".join(f"{v:.4f}" for v in vals)
-        print(f"{name:8s}  {vals.mean():8.5f}  {vals.std():8.5f}  {per_seed}")
+        print(f"{name:8s}  {np.mean(vals):8.5f}  {np.std(vals):8.5f}  {per_seed}")
+    means = {name: float(np.mean(vals)) for name, vals in results.items()}
+    margins = gate_margins(means)
+    print("gate margins: " + "  ".join(f"{name}={m:+.5f}" for name, m in margins.items()))
 
     if args.json_out:
+        record = {"seeds": args.seeds, "k": args.k, "per_seed": results, "means": means,
+                  "margins": margins, "wall_s": wall_s, "machine": machine()}
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2)
+            json.dump(record, fh, indent=2)
         print(f"wrote {args.json_out}")
 
 

@@ -43,6 +43,18 @@ def _read_corpus(path: str):
         return parse_conll(fh.read())
 
 
+def _check_seeds(seeds: int | None):
+    if seeds is not None and seeds < 1:
+        raise InputError(f"--seeds must be at least 1, got {seeds}")
+
+
+def _sweep_values(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"--values must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_train_source(args):
     config = load_config(args.config)
     corpus = _read_corpus(args.train)
@@ -62,6 +74,7 @@ def cmd_finetune(args):
 
 
 def cmd_evaluate(args):
+    _check_seeds(args.seeds)
     corpus = _read_corpus(args.test)
     if args.seeds and "{seed}" in args.model:
         paths = [args.model.format(seed=s) for s in range(args.seeds)]
@@ -110,12 +123,13 @@ def cmd_export_graph(args):
 
 
 def cmd_sweep(args):
+    values = _sweep_values(args.values)
+    _check_seeds(args.seeds)
+    seeds = list(range(args.seeds)) if args.seeds else None
     config = load_config(args.config)
     f0 = Model.load(args.source_model)
     train_corpus = _read_corpus(args.train)
     test_corpus = _read_corpus(args.test)
-    values = [float(v) for v in args.values.split(",")]
-    seeds = list(range(args.seeds)) if args.seeds else None
     csv_text = pipeline.sweep(args.param, values, f0, train_corpus, test_corpus, config, seeds=seeds)
     sys.stdout.write(csv_text)
 

@@ -21,7 +21,9 @@ sentence with a (B × ΣN) averaging matrix. The masks are dense, (B·n_types ×
 sentences (``pipeline.EVAL_CHUNK``), each one batched forward. ``lengths`` is
 the token counts or their checked `Segments`, built once per forward; the
 mask is built once in `fusion_forward` and `token_fusion` reads its
-transpose. ``lengths=None`` means one sentence, with no tiling and no mask.
+transpose. A single sentence is a batch of one (``lengths=None`` or
+``mask=None`` resolve to it), and tests/test_batching.py asserts that its
+forward equals the per-sentence composition bit for bit.
 """
 
 from __future__ import annotations
@@ -163,7 +165,9 @@ def segments(lengths) -> Segments:
 
 
 def _segments(lengths, n_rows: int) -> Segments:
-    """``lengths`` (token counts or checked `Segments`) as Segments over ``n_rows`` rows."""
+    """``lengths`` (token counts, checked `Segments`, or None: one sentence) over ``n_rows`` rows."""
+    if lengths is None:
+        lengths = [n_rows]
     seg = lengths if isinstance(lengths, Segments) else segments(lengths)
     if seg.offsets[-1] != n_rows:
         raise ShapeError(f"sentence lengths sum to {seg.offsets[-1]}, not {n_rows} rows")
@@ -186,18 +190,14 @@ def _block_mask(seg: Segments, n_types: int) -> np.ndarray:
 def encode_toy(token_ids: np.ndarray, params: ModelParams, lengths=None) -> Tensor:
     """Embedding lookup plus one window-3 mixing layer with residual.
 
-    With ``lengths``, ``token_ids`` holds a batch of concatenated sentences
-    and the window does not reach across a sentence boundary.
+    ``token_ids`` holds a batch of concatenated sentences, and the window
+    does not reach across a sentence boundary.
     """
-    if len(token_ids) == 0:
-        raise InputError("empty sentence")
-    keep_prev = keep_next = None
-    if lengths is not None:
-        offsets = _segments(lengths, len(token_ids)).offsets
-        keep_prev = np.ones(len(token_ids), dtype=bool)
-        keep_next = keep_prev.copy()
-        keep_prev[offsets[:-1]] = False  # a sentence's first token has no left neighbour
-        keep_next[offsets[1:] - 1] = False  # nor its last a right one
+    offsets = _segments(lengths, len(token_ids)).offsets
+    keep_prev = np.ones(len(token_ids), dtype=bool)
+    keep_next = keep_prev.copy()
+    keep_prev[offsets[:-1]] = False  # a sentence's first token has no left neighbour
+    keep_next[offsets[1:] - 1] = False  # nor its last a right one
     e = ad.rows_select(params.embed, token_ids)
     return ad.window_mix(e, params.mix_left, params.mix_center, params.mix_right, params.mix_bias,
                          keep_prev, keep_next)
@@ -243,22 +243,20 @@ class FusionTrace(NamedTuple):
     u_prime: Tensor  # n_c x d_p
     beta: Tensor     # n_s x n_c
     h_prime: Tensor  # n_s x d_h
+    seg: Segments    # the batch's sentence layout
 
 
 def label_attention(h: Tensor, params: ModelParams, mask=None):
     """Label-guided attention: per entity type, a softmax over tokens.
 
-    ``mask`` is a batch's additive block mask (`_block_mask`), or None for
-    one sentence.
+    ``mask`` is the batch's additive block mask (`_block_mask`); the label
+    representations are tiled once per sentence.
     """
+    mask = _block_mask(_segments(None, h.shape[0]), params.n_types) if mask is None else mask
     q = ad.matmul(h, params.proj_w) + params.proj_b
-    label_reps = params.label_reps
-    if mask is not None:
-        n_sentences = mask.shape[0] // params.n_types
-        label_reps = ad.rows_select(label_reps, np.tile(np.arange(params.n_types), n_sentences))
-    scores = ad.matmul(label_reps, ad.transpose(q))  # n_c x n_s
-    if mask is not None:
-        scores = scores + Tensor(mask)
+    n_sentences = mask.shape[0] // params.n_types
+    label_reps = ad.rows_select(params.label_reps, np.tile(np.arange(params.n_types), n_sentences))
+    scores = ad.matmul(label_reps, ad.transpose(q)) + Tensor(mask)  # n_c x n_s
     alpha = ad.softmax_rows(scores)
     u = ad.matmul(alpha, q)
     return q, alpha, u
@@ -280,10 +278,7 @@ def gcn_propagate(u: Tensor, graph: LabelGraph, params: ModelParams, n_sentences
     """
     if graph.n != params.n_types:
         raise InputError("graph labels do not align with label components")
-    a_hat = graph.adjacency()
-    if n_sentences > 1:
-        a_hat = block_diagonal(a_hat, n_sentences)
-    a_hat = Tensor(a_hat)
+    a_hat = Tensor(block_diagonal(graph.adjacency(), n_sentences))
     hidden = ad.relu(ad.matmul(ad.matmul(a_hat, u), params.gcn_w1))
     return ad.matmul(ad.matmul(a_hat, hidden), params.gcn_w2)
 
@@ -294,9 +289,8 @@ def token_fusion(h: Tensor, q: Tensor, u_prime: Tensor, params: ModelParams, mas
     ``mask`` is the batch's block mask of `label_attention`; the token scores
     take its transpose.
     """
-    scores = ad.matmul(q, ad.transpose(u_prime))  # n_s x n_c
-    if mask is not None:
-        scores = scores + Tensor(mask.T)
+    mask = _block_mask(_segments(None, h.shape[0]), params.n_types) if mask is None else mask
+    scores = ad.matmul(q, ad.transpose(u_prime)) + Tensor(mask.T)  # n_s x n_c
     beta = ad.softmax_rows(scores)
     mix = ad.matmul(beta, u_prime)
     h_prime = h + ad.matmul(mix, params.out_w) + params.out_b
@@ -305,14 +299,12 @@ def token_fusion(h: Tensor, q: Tensor, u_prime: Tensor, params: ModelParams, mas
 
 def fusion_forward(h: Tensor, graph: LabelGraph, params: ModelParams, lengths=None) -> FusionTrace:
     """Label attention, GCN and token fusion; the batch mask is built once."""
-    mask, n_sentences = None, 1
-    if lengths is not None:
-        seg = _segments(lengths, h.shape[0])
-        mask, n_sentences = _block_mask(seg, params.n_types), len(seg.lengths)
+    seg = _segments(lengths, h.shape[0])
+    mask = _block_mask(seg, params.n_types)
     q, alpha, u = label_attention(h, params, mask)
-    u_prime = gcn_propagate(u, graph, params, n_sentences)
+    u_prime = gcn_propagate(u, graph, params, len(seg.lengths))
     beta, h_prime = token_fusion(h, q, u_prime, params, mask)
-    return FusionTrace(q, alpha, u, u_prime, beta, h_prime)
+    return FusionTrace(q, alpha, u, u_prime, beta, h_prime, seg)
 
 
 def tag_logits(h_prime: Tensor, params: ModelParams) -> Tensor:
@@ -339,17 +331,12 @@ def classification_loss(h_prime: Tensor, gold_tag_ids, params: ModelParams) -> T
 def auxiliary_loss(h_prime: Tensor, present: np.ndarray, params: ModelParams, lengths=None) -> Tensor:
     """Sentence-level multi-label BCE on mean-pooled fused embeddings.
 
-    ``present`` is the multi-hot vector of entity types in the sentence, or
-    with ``lengths`` one such row per sentence; the loss is then the mean
-    over the sentences.
+    ``present`` holds the multi-hot vector of entity types of each sentence
+    of the batch; the loss is the mean over the sentences.
     """
-    if lengths is None:
-        n_s = h_prime.data.shape[0]
-        pooled = h_prime.sum(axis=0, keepdims=True) / float(n_s)
-    else:
-        lengths = _segments(lengths, h_prime.shape[0]).lengths
-        averaging = np.repeat(np.diag(1.0 / lengths), lengths, axis=1)  # B x n_s
-        pooled = ad.matmul(Tensor(averaging), h_prime)
+    lengths = _segments(lengths, h_prime.shape[0]).lengths
+    averaging = np.repeat(np.diag(1.0 / lengths), lengths, axis=1)  # B x n_s
+    pooled = ad.matmul(Tensor(averaging), h_prime)
     present = np.asarray(present, dtype=np.float64).reshape(pooled.shape[0], -1)
     z = ad.matmul(pooled, params.aux_w) + params.aux_b
     # BCE with logits: softplus(z) - z*y, averaged over types

@@ -138,12 +138,9 @@ def _graph_from_meta(obj: dict) -> LabelGraph:
     return build_graph(obj["raw_nodes"], list(obj["labels"]), obj["threshold"])
 
 
-def _batch_segments(sentences) -> fu.Segments | None:
-    """Checked row layout of a batch; None for a single sentence, which runs unbatched."""
-    lengths = [len(s) for s in sentences]
-    if len(lengths) == 1 and lengths[0] > 0:
-        return None
-    return fu.segments(lengths)  # raises on an empty batch or sentence
+def _batch_segments(sentences) -> fu.Segments:
+    """Checked row layout of a batch; a single sentence is a batch of one."""
+    return fu.segments([len(s) for s in sentences])  # raises on an empty batch or sentence
 
 
 class Model:
@@ -162,11 +159,10 @@ class Model:
 
     # -- forward ---------------------------------------------------------
 
-    def encode(self, sentences, lengths=None) -> Tensor:
+    def encode(self, sentences, seg=None) -> Tensor:
         """Token embeddings of the concatenated sentences.
 
-        ``lengths`` holds their token counts (or `fusion.Segments`), or is
-        None for one sentence.
+        ``seg`` is their `fusion.Segments`, built here when not given.
         """
         if self.config.encoder_mode == "file":
             if self._embeddings is None:
@@ -175,12 +171,13 @@ class Model:
                 self._embeddings = fu.EmbeddingFile(self.config.embedding_file)
             return Tensor(np.concatenate([self._embeddings.lookup(list(s)) for s in sentences]))
         ids = self.vocab.ids([token for s in sentences for token in s])
-        return fu.encode_toy(ids, self.params, lengths)
+        return fu.encode_toy(ids, self.params, seg or _batch_segments(sentences))
 
     def forward(self, sentences):
         """(tag logits, fusion trace or None) of a batch of sentences, as one graph.
 
-        The logits hold the sentences' token rows one after another.
+        The logits hold the sentences' token rows one after another, laid
+        out by the batch's one `fusion.Segments` (the trace's ``seg``).
         """
         seg = _batch_segments(sentences)
         h = self.encode(sentences, seg)
@@ -199,13 +196,13 @@ class Model:
     def tag_sentences(self, sentences) -> list[list[str]]:
         """Greedy tags of each sentence, from one forward over all of them.
 
-        A single sentence runs the unbatched forward, so its tags are those
-        of the per-sentence model bit for bit.
+        A single sentence is a batch of one; tests/test_batching.py asserts
+        that its forward equals the per-sentence composition bit for bit.
         """
         with ad.no_grad():
             tag_ids = self.forward(sentences)[0].data.argmax(axis=1)
-        bounds = np.cumsum([len(s) for s in sentences[:-1]], dtype=np.intp)
-        return [[self.tags[i] for i in ids] for ids in np.split(tag_ids, bounds)]
+        offsets = _batch_segments(sentences).offsets
+        return [[self.tags[i] for i in ids] for ids in np.split(tag_ids, offsets[1:-1])]
 
     # probabilistic-tagger protocol used by label-graph estimation
     @property
@@ -413,19 +410,18 @@ def _batch_loss(model: Model, batch: list[_SentenceTargets], config: TrainConfig
     the monotone guard) still gives the batch its envelope loss, built on
     the last plan the solver accepted, and sets ``gw_unconverged``.
     """
-    tokens = [sent.tokens for sent in batch]
-    logits, trace = model.forward(tokens)
+    logits, trace = model.forward([sent.tokens for sent in batch])
     cls_loss = fu.classification_loss_from_logits(logits, np.concatenate([s.tag_ids for s in batch]))
     loss = cls_loss
     aux_val = gw_val = 0.0
     gw_skipped = gw_unconverged = False
     if aux_on:
         present = np.stack([sent.present for sent in batch])
-        aux_loss = fu.auxiliary_loss(trace.h_prime, present, model.params, _batch_segments(tokens))
+        aux_loss = fu.auxiliary_loss(trace.h_prime, present, model.params, trace.seg)
         loss = loss + config.lambda1 * aux_loss
         aux_val = aux_loss.item()
     if gw_on:
-        offsets = np.cumsum([0] + [len(t) for t in tokens])
+        offsets = trace.seg.offsets
         rows = np.concatenate([off + sent.entity_rows for off, sent in zip(offsets, batch)])
         gold_types = [t for sent in batch for t in sent.entity_types]
         type_logits = ad.rows_select(model.type_logits_tensor(logits), rows)

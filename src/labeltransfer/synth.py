@@ -13,7 +13,7 @@ source task is learnable to high accuracy by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -242,3 +242,17 @@ TRANSFER_CONFIG = dict(
     learning_rate=0.3, epochs=80, batch_size=8, temperature=2.0, lambda1=2.0, lambda2=0.02,
     inner_iter=50, outer_iter=10,
 )
+
+
+def transfer_variants(base) -> dict:
+    """The gate's four variants of the `pipeline.TrainConfig` ``base``, by name.
+
+    ``full`` is the whole objective; ``no_gw`` and ``no_aux`` ablate one term
+    each, and ``none`` ablates both.
+    """
+    return {
+        "full": base,
+        "no_gw": replace(base, ablate_gw=True),
+        "no_aux": replace(base, ablate_aux=True),
+        "none": replace(base, ablate_aux=True, ablate_gw=True),
+    }

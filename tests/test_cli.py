@@ -203,3 +203,35 @@ def test_malformed_config_json_exits_2(workdir, capsys, text):
             "--out", str(workdir / "never.ckpt"),
         ])
     _assert_one_line_error(capsys, exc_info)
+
+
+def _sweep_args(workdir, *extra):
+    return [
+        "sweep",
+        "--param", "lambda2",
+        "--source-model", str(workdir / "f0.ckpt"),
+        "--train", str(workdir / "fewshot.conll"),
+        "--test", str(workdir / "data" / "target_test.conll"),
+        "--config", str(workdir / "fast.json"),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_seeds_below_one_exits_2(workdir, capsys, command, seeds):
+    if command == "evaluate":
+        argv = ["evaluate", "--model", str(workdir / "fused.ckpt"),
+                "--test", str(workdir / "data" / "target_test.conll"), "--seeds", seeds]
+    else:
+        argv = _sweep_args(workdir, "--values", "0.01", "--seeds", seeds)
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    _assert_one_line_error(capsys, exc_info)
+
+
+@pytest.mark.parametrize("values", ["1,x", "", "0.01,,0.02"])
+def test_sweep_non_numeric_values_exit_2(workdir, capsys, values):
+    with pytest.raises(SystemExit) as exc_info:
+        main(_sweep_args(workdir, "--values", values))
+    _assert_one_line_error(capsys, exc_info)
