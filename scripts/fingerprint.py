@@ -3,9 +3,10 @@
 
 Runs the acceptance gate's transfer task at --seed: trains f0, then
 fine-tunes and evaluates the four variants. Prints one JSON line with the
-sha256 of f0's parameter arrays and, per variant, the sha256 of its
-parameter arrays, of its source graph's JSON and of its log, plus its test
-F1. Two trees give the same results when they print the same line.
+sha256 of the task's four generated corpora (their CoNLL text), of f0's
+parameter arrays and, per variant, the sha256 of its parameter arrays, of
+its source graph's JSON and of its log, plus its test F1. Two trees give the
+same results when they print the same line.
 
 ``--save PATH.npz`` also writes every parameter array of f0 and of the four
 variants. ``--against PATH.npz`` adds ``max_abs_delta`` to the line: per
@@ -31,6 +32,11 @@ from labeltransfer.synth import (
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def task_sha(task) -> str:
+    parts = (task.source_train, task.source_test, task.target_train, task.target_test)
+    return sha("".join(corpus.to_conll() for corpus in parts).encode())
 
 
 def params_sha(model) -> str:
@@ -60,7 +66,7 @@ def main():
     base = TrainConfig(seed=seed, **TRANSFER_CONFIG)
     f0 = train_source(task.source_train, base)
     few = greedy_sample(task.target_train, 20, seed=seed)
-    out = {"seed": seed, "f0": params_sha(f0)}
+    out = {"seed": seed, "task": task_sha(task), "f0": params_sha(f0)}
     arrays = param_arrays("f0", f0)
     for name, config in transfer_variants(base).items():
         model, log = finetune(f0, few, config)

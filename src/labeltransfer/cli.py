@@ -75,11 +75,12 @@ def cmd_finetune(args):
 
 def cmd_evaluate(args):
     _check_seeds(args.seeds)
+    if args.seeds and "{seed}" not in args.model:
+        raise InputError("--seeds needs a --model path containing {seed}")
     corpus = _read_corpus(args.test)
-    if args.seeds and "{seed}" in args.model:
-        paths = [args.model.format(seed=s) for s in range(args.seeds)]
-    else:
-        paths = [args.model] * (args.seeds or 1)
+    paths = [args.model]
+    if args.seeds:
+        paths = [args.model.replace("{seed}", str(s)) for s in range(args.seeds)]
     results = []
     for path in paths:
         p, r, f1 = evaluate(Model.load(path), corpus)

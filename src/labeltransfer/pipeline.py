@@ -15,7 +15,6 @@ import dataclasses
 import io
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -26,7 +25,7 @@ from . import autodiff as ad
 from . import fusion as fu
 from .autodiff import Tensor
 from .data import TaggedCorpus, entity_type, extract_spans, micro_f1
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, check_field_types
 from .gw import gromov_wasserstein_distances, gw_fixed_plan_loss
 from .labelgraph import (
     LabelGraph,
@@ -40,15 +39,6 @@ MAGIC = b"LTCK"
 FORMAT_VERSION = 1
 
 
-# TrainConfig field annotation -> accepted values; bool is an int subclass,
-# so the numeric fields exclude it
-_FIELD_CHECKS = {
-    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "str | None": lambda v: v is None or isinstance(v, str),
-}
 # TrainConfig fields that must exceed 0, and the lowest allowed value of others
 _POSITIVE = ("temperature", "edge_threshold", "epsilon", "gw_tol", "learning_rate")
 _AT_LEAST = {
@@ -79,12 +69,9 @@ class TrainConfig:
     embedding_file: str | None = None
 
     def __post_init__(self):
+        check_field_types(self, "config")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not _FIELD_CHECKS[f.type](value):
-                raise InputError(f"config field {f.name!r} must be {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise InputError(f"config field {f.name!r} must be finite, got {value!r}")
             if f.name in _POSITIVE and value <= 0:
                 raise InputError(f"config field {f.name!r} must be > 0, got {value!r}")
             if f.name in _AT_LEAST and value < _AT_LEAST[f.name]:

@@ -12,13 +12,25 @@ source task is learnable to high accuracy by construction.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import TaggedCorpus
-from .errors import InputError
+from .errors import InputError, check_field_types
+
+# SynthSpec count fields and their lowest allowed value; for a (low, high)
+# range the bound applies to low, and low <= high
+_AT_LEAST = {
+    "seed": 0, "entity_words_per_label": 1, "cue_words_per_label": 1, "filler_vocab_size": 1,
+    "distractor_words": 0, "sentence_length": 1, "entities_per_sentence": 0, "entity_length": 1,
+    "source_sentences": 0, "source_test_sentences": 0, "target_train_sentences": 0,
+    "target_test_sentences": 0,
+}
 
 
 @dataclass
@@ -32,14 +44,9 @@ class SynthSpec:
     # defaults to all mass on the parent
     target_mixtures: dict | None = None
     entity_words_per_label: int = 6
-    entity_word_noise: float = 0.0  # chance an entity word is drawn from a sibling's pool
-    cross_parent_noise: float = 0.0  # chance an entity word comes from another parent's pool
-    ambiguous_words: int = 0  # shared entity words usable by every label, disambiguated by cues
-    ambiguous_prob: float = 0.0  # chance an entity surface comes from the shared pool
     cue_words_per_label: int = 2
     cue_prob: float = 0.9
-    cue_placement: str = "adjacent"  # "adjacent" | "far" (>= 2 tokens from the entity)
-    # "label": one cue word determines the full label.
+    # "label": one cue word, next to the entity, determines the full label.
     # "split": an adjacent cue carries the within-parent subtype (shared across
     # parents) and a far cue carries the parent, so the two halves of the label
     # travel through different channels.
@@ -55,6 +62,36 @@ class SynthSpec:
     target_train_sentences: int = 150
     target_test_sentences: int = 200
 
+    def __post_init__(self):
+        check_field_types(self, "synth spec")
+        for name, low in _AT_LEAST.items():
+            value = getattr(self, name)
+            ranged = isinstance(value, tuple)
+            lo, hi = value if ranged else (value, value)
+            if not low <= lo <= hi:
+                need = f"(low, high) with {low} <= low <= high" if ranged else f">= {low}"
+                raise InputError(f"synth spec field {name!r} must be {need}, got {value!r}")
+        for name in ("cue_prob", "distractor_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise InputError(f"synth spec field {name!r} must be in [0, 1]")
+        if self.cue_scheme not in ("label", "split"):
+            raise InputError("synth spec field 'cue_scheme' must be 'label' or 'split'")
+        if not self.target_parents or not all(
+            parent in self.source_labels for parent in self.target_parents.values()
+        ):
+            raise InputError("synth spec field 'target_parents' must map target labels "
+                             "to source labels")
+        # labels spell tags and cue words, which a CoNLL line splits at whitespace
+        for label in (*self.source_labels, *self.target_parents):
+            if not label or any(c.isspace() for c in label):
+                raise InputError(f"synth spec label {label!r} must be non-empty, without spaces")
+        for label, mix in (self.target_mixtures or {}).items():
+            if not (label in self.target_parents and isinstance(mix, dict)
+                    and set(mix) <= set(self.source_labels)
+                    and all(map(_is_weight, mix.values())) and sum(mix.values()) > 0):
+                raise InputError(f"synth spec mixture {label!r} must map a target label to "
+                                 "source-label weights >= 0 with a positive sum")
+
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
         try:
@@ -63,15 +100,15 @@ class SynthSpec:
             raise InputError(f"synth spec is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise InputError("synth spec must be a JSON object")
-        spec = cls()
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(obj) - set(types)
+        if unknown:
+            raise InputError(f"unknown synth spec fields: {sorted(unknown)}")
+        # JSON has no tuples: a list given for a tuple field becomes one
         for key, value in obj.items():
-            if not hasattr(spec, key):
-                raise InputError(f"unknown synth spec field: {key}")
-            current = getattr(spec, key)
-            if isinstance(current, tuple):
-                value = tuple(value)
-            setattr(spec, key, value)
-        return spec
+            if types[key].startswith("tuple") and isinstance(value, list):
+                obj[key] = tuple(value)
+        return cls(**obj)
 
     def mixture(self, label: str) -> dict[str, float]:
         if self.target_mixtures and label in self.target_mixtures:
@@ -79,6 +116,10 @@ class SynthSpec:
             total = sum(mix.values())
             return {s: w / total for s, w in mix.items()}
         return {self.target_parents[label]: 1.0}
+
+
+def _is_weight(w) -> bool:
+    return isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0
 
 
 @dataclass(frozen=True)
@@ -113,12 +154,8 @@ def _cue_vocab(spec: SynthSpec) -> dict[str, list[str]]:
     return cues
 
 
-def _siblings(spec: SynthSpec, label: str) -> list[str]:
-    parent = spec.target_parents[label]
-    return [t for t, p in spec.target_parents.items() if p == parent and t != label]
-
-
 def _make_sentence(rng, spec, labels, draw_word, cue_vocab, fillers, distractors, noisy=True):
+    """One (tokens, tags) sentence; ``noisy`` only keeps the retired label-noise roll."""
     n = int(rng.integers(spec.sentence_length[0], spec.sentence_length[1] + 1))
     tokens = [str(rng.choice(fillers)) for _ in range(n)]
     tags = ["O"] * n
@@ -128,26 +165,20 @@ def _make_sentence(rng, spec, labels, draw_word, cue_vocab, fillers, distractors
         if len(free) < 3:
             break
         label = str(rng.choice(labels))
-        word_label = label
         if noisy and label in spec.target_parents:
-            roll = rng.random()
-            sibs = _siblings(spec, label)
-            others = [t for t in spec.target_parents if spec.target_parents[t] != spec.target_parents[label]]
-            if sibs and roll < spec.entity_word_noise:
-                word_label = str(rng.choice(sibs))
-            elif others and roll < spec.entity_word_noise + spec.cross_parent_noise:
-                word_label = str(rng.choice(others))
-        ambiguous = spec.ambiguous_words > 0 and rng.random() < spec.ambiguous_prob
+            # an unused draw (it was the label-noise roll), kept because
+            # every seed's corpora depend on the generator state after it
+            rng.random()
         length = int(rng.integers(spec.entity_length[0], spec.entity_length[1] + 1))
-        pos = int(rng.choice([p for p in free if p + length <= n])) if free else 0
+        starts = [p for p in free if p + length <= n]
+        if not starts:
+            continue
+        pos = int(rng.choice(starts))
         span = [p for p in range(pos, pos + length) if p in free]
         if len(span) < length:
             continue
         for j, p in enumerate(span):
-            if ambiguous:
-                tokens[p] = f"amb{int(rng.integers(spec.ambiguous_words))}"
-            else:
-                tokens[p] = draw_word(word_label, rng)
+            tokens[p] = draw_word(label, rng)
             tags[p] = ("B-" if j == 0 else "I-") + label
             free.remove(p)
         if spec.cue_scheme == "split" and label in spec.target_parents:
@@ -161,16 +192,9 @@ def _make_sentence(rng, spec, labels, draw_word, cue_vocab, fillers, distractors
                     cue_pos = int(rng.choice(slots))
                     tokens[cue_pos] = str(rng.choice(cue_vocab[f"par:{label}"]))
                     free.remove(cue_pos)
-        # ambiguous surfaces are only resolvable through the cue, so force it
-        elif ambiguous or rng.random() < spec.cue_prob:
-            if spec.cue_placement == "far":
-                slots = [p for p in free if p < pos - 2 or p > span[-1] + 2]
-            else:
-                slots = [pos - 1] if pos - 1 in free else []
-            if slots:
-                cue_pos = int(rng.choice(slots))
-                tokens[cue_pos] = str(rng.choice(cue_vocab[label]))
-                free.remove(cue_pos)
+        elif rng.random() < spec.cue_prob and pos - 1 in free:
+            tokens[pos - 1] = str(rng.choice(cue_vocab[label]))
+            free.remove(pos - 1)
     for p in list(free):
         if rng.random() < spec.distractor_prob and distractors:
             tokens[p] = str(rng.choice(distractors))
@@ -201,7 +225,7 @@ def generate(spec: SynthSpec) -> SynthTask:
         )
         return TaggedCorpus(sentences)
 
-    # label noise afflicts training data only; test sets stay clean
+    # only the training corpora draw the retired label-noise roll
     return SynthTask(
         source_train=corpus(list(spec.source_labels), spec.source_sentences),
         source_test=corpus(list(spec.source_labels), spec.source_test_sentences, noisy=False),

@@ -6,7 +6,7 @@ import pytest
 
 from labeltransfer.cli import main
 from labeltransfer.data import entity_counts, parse_conll
-from labeltransfer.pipeline import Model
+from labeltransfer.pipeline import Model, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,72 @@ def test_malformed_config_json_exits_2(workdir, capsys, text):
             "--out", str(workdir / "never.ckpt"),
         ])
     _assert_one_line_error(capsys, exc_info)
+
+
+def test_evaluate_seeds_without_seed_template_exits_2(workdir, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["evaluate", "--model", str(workdir / "fused.ckpt"),
+              "--test", str(workdir / "data" / "target_test.conll"), "--seeds", "3"])
+    _assert_one_line_error(capsys, exc_info)
+
+
+def test_evaluate_seed_template_evaluates_one_checkpoint_per_seed(workdir, capsys):
+    # other braces in the path are literal
+    test = workdir / "data" / "target_test.conll"
+    (workdir / "run{x}0.ckpt").write_bytes((workdir / "fused.ckpt").read_bytes())
+    main([
+        "finetune",
+        "--source-model", str(workdir / "f0.ckpt"),
+        "--train", str(workdir / "fewshot.conll"),
+        "--config", str(workdir / "fast.json"),
+        "--ablate-gw",
+        "--out", str(workdir / "run{x}1.ckpt"),
+    ])
+    capsys.readouterr()
+    paths = [str(workdir / f"run{{x}}{seed}.ckpt") for seed in range(2)]
+    assert Model.load(paths[0]).save_bytes() != Model.load(paths[1]).save_bytes()
+    main(["evaluate", "--model", str(workdir / "run{x}{seed}.ckpt"), "--test", str(test),
+          "--seeds", "2"])
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    corpus = parse_conll(test.read_text())
+    expected = [evaluate(Model.load(path), corpus) for path in paths]
+    assert [(r["precision"], r["recall"], r["f1"]) for r in runs] == expected
+
+
+def test_export_plan_without_target_model_exits_2(workdir, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["export-graph", "--source-model", str(workdir / "f0.ckpt"),
+              "--train", str(workdir / "data" / "target_train.conll"),
+              "--out", str(workdir / "graph_only.json"), "--plan", str(workdir / "never.csv")])
+    _assert_one_line_error(capsys, exc_info)
+    assert not (workdir / "never.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"sentence_length": 5},
+        {"source_sentences": "x"},
+        {"target_parents": {"X": "Q"}},
+        {"entity_words_per_label": 0},
+        {"cue_scheme": "bogus"},
+        {"source_sentences": -3},
+        {"entity_word_noise": 0.1},
+        {"cross_parent_noise": 0.1},
+        {"ambiguous_words": 2},
+        {"ambiguous_prob": 0.5},
+        {"cue_placement": "far"},
+    ],
+    ids=["int_sentence_length", "str_count", "unknown_parent", "no_entity_words", "bogus_scheme",
+         "negative_count", "retired_entity_word_noise", "retired_cross_parent_noise",
+         "retired_ambiguous_words", "retired_ambiguous_prob", "retired_cue_placement"],
+)
+def test_malformed_synth_spec_exits_2(tmp_path, capsys, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc_info:
+        main(["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "out")])
+    _assert_one_line_error(capsys, exc_info)
+    assert not (tmp_path / "out").exists()
 
 
 def _sweep_args(workdir, *extra):

@@ -16,6 +16,7 @@ from labeltransfer import fusion as fu
 from labeltransfer import pipeline
 from labeltransfer.data import InputError, parse_conll
 from labeltransfer.errors import LabelTransferError, NumericError
+from labeltransfer.labelgraph import build_graph
 from labeltransfer.pipeline import (
     Model,
     TrainConfig,
@@ -292,6 +293,31 @@ def test_file_encoder_through_training(task, tmp_path):
 def test_finetune_rejects_unlabeled_corpus(f0):
     with pytest.raises(InputError):
         finetune(f0, parse_conll("a O\n"), SMALL_CONFIG)
+
+
+def test_gw_term_skipped_when_the_source_subgraph_is_degenerate():
+    model = make_model("fused", np.random.default_rng(0))
+    # A and B share one raw row: their subgraph has all distances 0
+    rows = np.array([[0.6, 0.3, 0.1], [0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+    model.source_graph = build_graph(rows, ["A", "B", "C"], 1.5)
+    assert not model.source_graph.degenerate
+    batch = pipeline._sentence_targets(model, parse_conll("w1 B-A\nw2 O\nw3 B-B\n\nw4 B-B\nw5 I-B\n"))
+    config = replace(model.config, lambda1=0.5, lambda2=0.3)
+    build_target_graph = pipeline.target_graph_from_batch
+    target_graphs = []
+
+    def recording_target_graph(*args):
+        target_graphs.append(build_target_graph(*args))
+        return target_graphs[-1]
+
+    with mock.patch.object(pipeline, "target_graph_from_batch", recording_target_graph), \
+            mock.patch.object(pipeline, "gromov_wasserstein_distances", side_effect=AssertionError):
+        out = pipeline._batch_loss(model, batch, config, aux_on=True, gw_on=True)
+    # the batch's own target graph is not what made the term skip
+    assert len(target_graphs) == 1 and target_graphs[0] is not None
+    assert target_graphs[0].labels == ("A", "B")
+    assert out.gw_skipped and not out.gw_unconverged and out.gw == 0.0
+    assert out.total.item() == out.cls.item() + config.lambda1 * out.aux
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
