@@ -43,12 +43,12 @@ def _read_corpus(path: str):
         return parse_conll(fh.read())
 
 
-def _check_seeds(seeds: int | None):
+def check_seeds(seeds: int | None):
     if seeds is not None and seeds < 1:
         raise InputError(f"--seeds must be at least 1, got {seeds}")
 
 
-def _sweep_values(text: str) -> list[float]:
+def sweep_values(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
@@ -74,7 +74,7 @@ def cmd_finetune(args):
 
 
 def cmd_evaluate(args):
-    _check_seeds(args.seeds)
+    check_seeds(args.seeds)
     if args.seeds and "{seed}" not in args.model:
         raise InputError("--seeds needs a --model path containing {seed}")
     corpus = _read_corpus(args.test)
@@ -124,8 +124,8 @@ def cmd_export_graph(args):
 
 
 def cmd_sweep(args):
-    values = _sweep_values(args.values)
-    _check_seeds(args.seeds)
+    values = sweep_values(args.values)
+    check_seeds(args.seeds)
     seeds = list(range(args.seeds)) if args.seeds else None
     config = load_config(args.config)
     f0 = Model.load(args.source_model)

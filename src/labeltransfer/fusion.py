@@ -28,6 +28,7 @@ forward equals the per-sentence composition bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -42,89 +43,85 @@ from .labelgraph import LabelGraph
 UNK = "<unk>"
 
 
+def _block(rows, cols, scale=None):
+    """A parameter block field: its shape in named dims and its init.
+
+    A block whose rows are the literal 1 is a bias and starts at 0; any
+    other draws from U(±scale), by default U(±1/√rows).
+    """
+    return field(default=None, metadata={"shape": (rows, cols), "scale": scale})
+
+
 @dataclass
 class ModelParams:
-    """All trainable parameters. Tensors are float64 with requires_grad set."""
+    """All trainable parameters. Tensors are float64 with requires_grad set.
+
+    The block fields are the one parameter table: their order is the order
+    of `named_tensors`, of `init_params`'s draws and of a checkpoint's blocks.
+    """
 
     d_h: int
     d_p: int
     n_types: int
     n_tags: int
     encoder_mode: str  # "toy" | "file"
-    embed: Tensor | None = None          # vocab x d_h (toy mode)
-    mix_left: Tensor | None = None       # d_h x d_h
-    mix_center: Tensor | None = None
-    mix_right: Tensor | None = None
-    mix_bias: Tensor | None = None       # 1 x d_h
-    label_reps: Tensor | None = None     # n_types x d_p
-    proj_w: Tensor | None = None         # d_h x d_p
-    proj_b: Tensor | None = None         # 1 x d_p
-    out_w: Tensor | None = None          # d_p x d_h
-    out_b: Tensor | None = None          # 1 x d_h
-    gcn_w1: Tensor | None = None         # d_p x d_p
-    gcn_w2: Tensor | None = None
-    cls_w: Tensor | None = None          # d_h x n_tags
-    cls_b: Tensor | None = None          # 1 x n_tags
-    aux_w: Tensor | None = None          # d_h x n_types
-    aux_b: Tensor | None = None          # 1 x n_types
+    embed: Tensor | None = _block("vocab", "d_h", scale=0.1)
+    mix_left: Tensor | None = _block("d_h", "d_h")
+    mix_center: Tensor | None = _block("d_h", "d_h")
+    mix_right: Tensor | None = _block("d_h", "d_h")
+    mix_bias: Tensor | None = _block(1, "d_h")
+    label_reps: Tensor | None = _block("n_types", "d_p", scale=0.1)
+    proj_w: Tensor | None = _block("d_h", "d_p")
+    proj_b: Tensor | None = _block(1, "d_p")
+    out_w: Tensor | None = _block("d_p", "d_h")
+    out_b: Tensor | None = _block(1, "d_h")
+    gcn_w1: Tensor | None = _block("d_p", "d_p")
+    gcn_w2: Tensor | None = _block("d_p", "d_p")
+    cls_w: Tensor | None = _block("d_h", "n_tags")
+    cls_b: Tensor | None = _block(1, "n_tags")
+    aux_w: Tensor | None = _block("d_h", "n_types")
+    aux_b: Tensor | None = _block(1, "n_types")
 
-    _ENCODER = ("embed", "mix_left", "mix_center", "mix_right", "mix_bias")
-    _FUSION = (
-        "label_reps", "proj_w", "proj_b", "out_w", "out_b",
-        "gcn_w1", "gcn_w2", "cls_w", "cls_b", "aux_w", "aux_b",
-    )
+    # the toy encoder, which fine-tuning copies from the source model; a
+    # source model holds these (in toy mode) and the tag head cls_*
+    ENCODER = ("embed", "mix_left", "mix_center", "mix_right", "mix_bias")
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for name in self._ENCODER + self._FUSION:
-            t = getattr(self, name)
-            if t is not None:
-                out.append((name, t))
-        return out
+        tensors = ((name, getattr(self, name)) for name in _BLOCKS)
+        return [(name, t) for name, t in tensors if t is not None]
 
     def trainable(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors() if t.requires_grad]
 
     def block_shapes(self, vocab_size: int, fused: bool) -> dict[str, tuple[int, int]]:
-        """The shape of every parameter block a source or fused model holds."""
-        d_h, d_p, n_types, n_tags = self.d_h, self.d_p, self.n_types, self.n_tags
-        shapes = {"cls_w": (d_h, n_tags), "cls_b": (1, n_tags)}
-        if self.encoder_mode == "toy":
-            shapes.update(embed=(vocab_size, d_h), mix_left=(d_h, d_h), mix_center=(d_h, d_h),
-                          mix_right=(d_h, d_h), mix_bias=(1, d_h))
-        if fused:
-            shapes.update(label_reps=(n_types, d_p), proj_w=(d_h, d_p), proj_b=(1, d_p),
-                          out_w=(d_p, d_h), out_b=(1, d_h), gcn_w1=(d_p, d_p), gcn_w2=(d_p, d_p),
-                          aux_w=(d_h, n_types), aux_b=(1, n_types))
+        """The shape of every block a source or fused model holds, in table order."""
+        dims = {1: 1, "vocab": vocab_size, "d_h": self.d_h, "d_p": self.d_p,
+                "n_types": self.n_types, "n_tags": self.n_tags}
+        shapes = {}
+        for name, block in _BLOCKS.items():
+            if name in self.ENCODER:
+                held = self.encoder_mode == "toy"
+            else:
+                held = fused or name.startswith("cls_")
+            if held:
+                shapes[name] = tuple(dims[d] for d in block["shape"])
         return shapes
 
 
-def _uniform(rng: np.random.Generator, shape, scale: float, trainable=True) -> Tensor:
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=trainable)
+# block name -> its field metadata, in field order
+_BLOCKS = {f.name: f.metadata for f in dataclasses.fields(ModelParams) if "shape" in f.metadata}
 
 
-def init_encoder_params(params: ModelParams, rng: np.random.Generator, vocab_size: int):
-    d_h = params.d_h
-    params.embed = _uniform(rng, (vocab_size, d_h), 0.1)
-    params.mix_left = _uniform(rng, (d_h, d_h), 1.0 / np.sqrt(d_h))
-    params.mix_center = _uniform(rng, (d_h, d_h), 1.0 / np.sqrt(d_h))
-    params.mix_right = _uniform(rng, (d_h, d_h), 1.0 / np.sqrt(d_h))
-    params.mix_bias = Tensor(np.zeros((1, d_h)), requires_grad=True)
-
-
-def init_fusion_params(params: ModelParams, rng: np.random.Generator):
-    d_h, d_p = params.d_h, params.d_p
-    params.label_reps = _uniform(rng, (params.n_types, d_p), 0.1)
-    params.proj_w = _uniform(rng, (d_h, d_p), 1.0 / np.sqrt(d_h))
-    params.proj_b = Tensor(np.zeros((1, d_p)), requires_grad=True)
-    params.out_w = _uniform(rng, (d_p, d_h), 1.0 / np.sqrt(d_p))
-    params.out_b = Tensor(np.zeros((1, d_h)), requires_grad=True)
-    params.gcn_w1 = _uniform(rng, (d_p, d_p), 1.0 / np.sqrt(d_p))
-    params.gcn_w2 = _uniform(rng, (d_p, d_p), 1.0 / np.sqrt(d_p))
-    params.cls_w = _uniform(rng, (d_h, params.n_tags), 1.0 / np.sqrt(d_h))
-    params.cls_b = Tensor(np.zeros((1, params.n_tags)), requires_grad=True)
-    params.aux_w = _uniform(rng, (d_h, params.n_types), 1.0 / np.sqrt(d_h))
-    params.aux_b = Tensor(np.zeros((1, params.n_types)), requires_grad=True)
+def init_params(params: ModelParams, rng: np.random.Generator, vocab_size: int, fused: bool):
+    """Draw every block of a new source or fused model, in table order."""
+    for name, shape in params.block_shapes(vocab_size, fused).items():
+        block = _BLOCKS[name]
+        if block["shape"][0] == 1:
+            data = np.zeros(shape)
+        else:
+            scale = block["scale"] or 1.0 / np.sqrt(shape[0])
+            data = rng.uniform(-scale, scale, size=shape)
+        setattr(params, name, Tensor(data, requires_grad=True))
 
 
 class Vocab:

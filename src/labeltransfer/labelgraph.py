@@ -206,27 +206,20 @@ def estimate_conditionals(model, corpus, temperature: float, label_set: list[str
 class TargetGraphBatch(NamedTuple):
     """Differentiable per-batch target graph.
 
-    ``nodes`` and ``distances`` are autodiff tensors (functions of the token
-    logits); ``graph`` is the detached snapshot used for export/inspection,
-    built from the pre-normalization rows ``raw`` only when read.
+    ``distances`` is an autodiff tensor (a function of the token logits): the
+    node distances normalized to sum to n². ``raw`` holds the detached
+    pre-normalization rows, one mean smoothed distribution per label.
     """
 
     labels: tuple[str, ...]
-    nodes: Tensor
     distances: Tensor
     raw: np.ndarray
-    threshold: float
-
-    @property
-    def graph(self) -> LabelGraph:
-        return build_graph(self.raw, list(self.labels), self.threshold)
 
 
 def target_graph_from_batch(
     type_logits: Tensor,
     gold_types: list[str | None],
     temperature: float,
-    threshold: float,
 ) -> TargetGraphBatch | None:
     """Build the dynamic target graph from one batch of token logits.
 
@@ -255,7 +248,4 @@ def target_graph_from_batch(
     if total.item() == 0.0:
         return None
     n = len(present)
-    scale = (n * n) / total
-    nodes = raw * scale
-    distances = dist_raw * scale
-    return TargetGraphBatch(tuple(present), nodes, distances, raw.data, threshold)
+    return TargetGraphBatch(tuple(present), dist_raw * ((n * n) / total), raw.data)

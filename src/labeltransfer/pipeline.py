@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import fusion as fu
 from .autodiff import Tensor
 from .data import TaggedCorpus, entity_type, extract_spans, micro_f1
-from .errors import InputError, NumericError, check_field_types
+from .errors import InputError, NumericError, check_field_types, check_lower_bounds, from_json
 from .gw import gromov_wasserstein_distances, gw_fixed_plan_loss
 from .labelgraph import (
     LabelGraph,
@@ -42,7 +42,7 @@ FORMAT_VERSION = 1
 # TrainConfig fields that must exceed 0, and the lowest allowed value of others
 _POSITIVE = ("temperature", "edge_threshold", "epsilon", "gw_tol", "learning_rate")
 _AT_LEAST = {
-    "lambda1": 0, "lambda2": 0, "epochs": 0,
+    "lambda1": 0, "lambda2": 0, "epochs": 0, "seed": 0,
     "batch_size": 1, "d_h": 1, "d_p": 1, "inner_iter": 1, "outer_iter": 1,
 }
 
@@ -70,29 +70,13 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self, "config")
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name in _POSITIVE and value <= 0:
-                raise InputError(f"config field {f.name!r} must be > 0, got {value!r}")
-            if f.name in _AT_LEAST and value < _AT_LEAST[f.name]:
-                low = _AT_LEAST[f.name]
-                raise InputError(f"config field {f.name!r} must be >= {low}, got {value!r}")
+        check_lower_bounds(self, "config", _AT_LEAST, _POSITIVE)
         if self.encoder_mode not in ("toy", "file"):
             raise InputError("encoder_mode must be 'toy' or 'file'")
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise InputError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise InputError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**obj)
+        return from_json(cls, text, "config")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2)
@@ -424,7 +408,7 @@ def _batch_loss(model: Model, batch: list[_SentenceTargets], config: TrainConfig
 
 def _batch_gw_term(ds_full, type_logits, gold_types, config):
     """(envelope GW loss, solve converged) for one batch, or None (skip) when degenerate."""
-    tgb = target_graph_from_batch(type_logits, gold_types, config.temperature, config.edge_threshold)
+    tgb = target_graph_from_batch(type_logits, gold_types, config.temperature)
     if tgb is None:
         return None
     gs_sub = ds_full.subgraph(list(tgb.labels))
@@ -443,24 +427,27 @@ def _batch_gw_term(ds_full, type_logits, gold_types, config):
     return gw_fixed_plan_loss(tgb.distances, d_s, result.plan.matrix), result.converged
 
 
+def _new_params(labels, vocab_size: int, config: TrainConfig, rng: np.random.Generator,
+                fused: bool) -> fu.ModelParams:
+    """Freshly drawn parameters (`fusion.init_params`) of a source or fused model."""
+    params = fu.ModelParams(
+        d_h=config.d_h, d_p=config.d_p, n_types=len(labels),
+        n_tags=len(tags_for(labels)), encoder_mode=config.encoder_mode,
+    )
+    fu.init_params(params, rng, vocab_size, fused)
+    return params
+
+
 def train_source(corpus: TaggedCorpus, config: TrainConfig) -> Model:
     """Train the source tagger (encoder + tag head, token cross-entropy only)."""
     if not corpus.sentences:
         raise InputError("empty corpus")
     labels = corpus.label_set
-    tags = tags_for(labels)
     vocab = fu.Vocab()
     for _, _, tok, _ in corpus.tokens():
         vocab.add(tok)
     rng = np.random.default_rng(config.seed)  # initialization, then batch order
-    params = fu.ModelParams(
-        d_h=config.d_h, d_p=config.d_p, n_types=len(labels),
-        n_tags=len(tags), encoder_mode=config.encoder_mode,
-    )
-    if config.encoder_mode == "toy":
-        fu.init_encoder_params(params, rng, len(vocab))
-    params.cls_w = fu._uniform(rng, (config.d_h, len(tags)), 1.0 / np.sqrt(config.d_h))
-    params.cls_b = Tensor(np.zeros((1, len(tags))), requires_grad=True)
+    params = _new_params(labels, len(vocab), config, rng, fused=False)
     model = Model("source", params, vocab, labels, config)
     for _ in _train(model, corpus, config, rng):
         pass
@@ -478,23 +465,15 @@ def build_source_graph(f0: Model, corpus_t: TaggedCorpus, config: TrainConfig) -
 
 def _init_finetune_model(f0: Model, corpus_t: TaggedCorpus, config: TrainConfig) -> Model:
     labels = corpus_t.label_set
-    tags = tags_for(labels)
-    rng = np.random.default_rng(config.seed)
     vocab = fu.Vocab(f0.vocab.itos[1:])
     for _, _, tok, _ in corpus_t.tokens():
         vocab.add(tok)
-    params = fu.ModelParams(
-        d_h=config.d_h, d_p=config.d_p, n_types=len(labels),
-        n_tags=len(tags), encoder_mode=config.encoder_mode,
-    )
+    params = _new_params(labels, len(vocab), config, np.random.default_rng(config.seed), fused=True)
     if config.encoder_mode == "toy":
-        # encoder transfers from f0; embeddings for new tokens are fresh
-        fu.init_encoder_params(params, rng, len(vocab))
-        n_old = len(f0.vocab)
-        params.embed.data[:n_old] = f0.params.embed.data.copy()
-        for name in ("mix_left", "mix_center", "mix_right", "mix_bias"):
-            setattr(params, name, Tensor(getattr(f0.params, name).data.copy(), requires_grad=True))
-    fu.init_fusion_params(params, rng)
+        # the encoder transfers from f0: all of it but the embeddings of new tokens
+        for name in fu.ModelParams.ENCODER:
+            block = getattr(f0.params, name).data
+            getattr(params, name).data[: len(block)] = block
     graph = build_source_graph(f0, corpus_t, config)
     return Model("fused", params, vocab, labels, config, source_graph=graph)
 
@@ -580,6 +559,8 @@ def sweep(param: str, values, f0: Model, train_corpus: TaggedCorpus,
     if not values:
         raise InputError("sweep values must be nonempty")
     seeds = list(seeds) if seeds is not None else [base.seed]
+    if not seeds:
+        raise InputError("sweep seeds must be nonempty")
     lines = ["value,mean_f1,std_f1"]
     for value in values:
         f1s = []

@@ -12,8 +12,6 @@ source task is learnable to high accuracy by construction.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -21,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import TaggedCorpus
-from .errors import InputError, check_field_types
+from .errors import InputError, check_field_types, check_lower_bounds, from_json
 
 # SynthSpec count fields and their lowest allowed value; for a (low, high)
 # range the bound applies to low, and low <= high
@@ -64,13 +62,7 @@ class SynthSpec:
 
     def __post_init__(self):
         check_field_types(self, "synth spec")
-        for name, low in _AT_LEAST.items():
-            value = getattr(self, name)
-            ranged = isinstance(value, tuple)
-            lo, hi = value if ranged else (value, value)
-            if not low <= lo <= hi:
-                need = f"(low, high) with {low} <= low <= high" if ranged else f">= {low}"
-                raise InputError(f"synth spec field {name!r} must be {need}, got {value!r}")
+        check_lower_bounds(self, "synth spec", _AT_LEAST)
         for name in ("cue_prob", "distractor_prob"):
             if not 0 <= getattr(self, name) <= 1:
                 raise InputError(f"synth spec field {name!r} must be in [0, 1]")
@@ -94,21 +86,7 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"synth spec is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise InputError("synth spec must be a JSON object")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(obj) - set(types)
-        if unknown:
-            raise InputError(f"unknown synth spec fields: {sorted(unknown)}")
-        # JSON has no tuples: a list given for a tuple field becomes one
-        for key, value in obj.items():
-            if types[key].startswith("tuple") and isinstance(value, list):
-                obj[key] = tuple(value)
-        return cls(**obj)
+        return from_json(cls, text, "synth spec")
 
     def mixture(self, label: str) -> dict[str, float]:
         if self.target_mixtures and label in self.target_mixtures:

@@ -33,13 +33,10 @@ def make_model(kind: str, rng: np.random.Generator) -> Model:
     """A small random source or fused model over LABELS and WORDS (d_h 6, d_p 4)."""
     params = fu.ModelParams(d_h=6, d_p=4, n_types=len(LABELS), n_tags=len(TAGS),
                             encoder_mode="toy")
-    fu.init_encoder_params(params, rng, len(WORDS) + 1)
+    fu.init_params(params, rng, len(WORDS) + 1, fused=kind == "fused")
     config = TrainConfig(d_h=6, d_p=4, epochs=1)
     if kind == "source":
-        params.cls_w = fu._uniform(rng, (6, len(TAGS)), 0.5)
-        params.cls_b = fu._uniform(rng, (1, len(TAGS)), 0.1)
         return Model("source", params, fu.Vocab(WORDS), LABELS, config)
-    fu.init_fusion_params(params, rng)
     graph = build_graph(rng.dirichlet(np.ones(4), size=len(LABELS)), list(LABELS), 1.5)
     return Model("fused", params, fu.Vocab(WORDS), LABELS, config, source_graph=graph)
 

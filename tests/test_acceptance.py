@@ -102,8 +102,7 @@ def test_gradient_suite():
     start = time.monotonic()
     rng = np.random.default_rng(2)
     params = fu.ModelParams(d_h=5, d_p=4, n_types=3, n_tags=7, encoder_mode="toy")
-    fu.init_encoder_params(params, rng, vocab_size=9)
-    fu.init_fusion_params(params, rng)
+    fu.init_params(params, rng, vocab_size=9, fused=True)
     rows = rng.dirichlet(np.ones(4), size=3)
     graph = build_graph(rows, ["A", "B", "C"], threshold=2.5)
     h_fixed = Tensor(rng.normal(size=(4, 5)))
@@ -189,7 +188,7 @@ def test_gradient_suite():
         return cls, aux, tl_all, gold
 
     cls0, aux0, tl0, gold0 = batch_type_logits()
-    tgb0 = target_graph_from_batch(tl0, gold0, temperature=2.0, threshold=1.5)
+    tgb0 = target_graph_from_batch(tl0, gold0, temperature=2.0)
     gs_sub = build_graph(rows, ["A", "B", "C"], 1.5).subgraph(list(tgb0.labels))
     d_source = gs_sub.distance_matrix()
     frozen_plan = gromov_wasserstein_distances(
@@ -198,7 +197,7 @@ def test_gradient_suite():
 
     def full_objective():
         cls, aux, tl, gold = batch_type_logits()
-        tgb = target_graph_from_batch(tl, gold, temperature=2.0, threshold=1.5)
+        tgb = target_graph_from_batch(tl, gold, temperature=2.0)
         gw = gw_fixed_plan_loss(tgb.distances, d_source, frozen_plan)
         return cls + lam1 * aux + lam2 * gw
 

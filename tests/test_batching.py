@@ -72,8 +72,7 @@ def per_sentence_loss(model: Model, batch, plan):
     if fused:
         loss = loss + CONFIG.lambda1 * (sum(aux_terms) / float(len(aux_terms)))
         if plan is not None:
-            tgb = target_graph_from_batch(ad.concat_rows(entity_logits), gold,
-                                          CONFIG.temperature, CONFIG.edge_threshold)
+            tgb = target_graph_from_batch(ad.concat_rows(entity_logits), gold, CONFIG.temperature)
             d_s = model.source_graph.subgraph(list(tgb.labels)).distance_matrix()
             loss = loss + CONFIG.lambda2 * gw_fixed_plan_loss(tgb.distances, d_s, plan)
     return loss

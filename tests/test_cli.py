@@ -1,6 +1,8 @@
 """End-to-end command-line workflow on a small synthetic task."""
 
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -189,9 +191,10 @@ def test_non_integer_seed_env_exits_2(workdir, capsys, monkeypatch):
         '{"d_h": 2.5}',
         '{"ablate_gw": "no"}',
         '{"batch_size": 0}',
+        '{"seed": -3}',
     ],
     ids=["truncated", "str_temperature", "str_epochs", "float_d_h", "str_ablate_gw",
-         "zero_batch_size"],
+         "zero_batch_size", "negative_seed"],
 )
 def test_malformed_config_json_exits_2(workdir, capsys, text):
     (workdir / "broken.json").write_text(text)
@@ -203,6 +206,18 @@ def test_malformed_config_json_exits_2(workdir, capsys, text):
             "--out", str(workdir / "never.ckpt"),
         ])
     _assert_one_line_error(capsys, exc_info)
+
+
+def test_negative_seed_env_exits_2(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("LST_SEED", "-1")
+    with pytest.raises(SystemExit) as exc_info:
+        main([
+            "train-source",
+            "--train", str(workdir / "data" / "source_train.conll"),
+            "--out", str(workdir / "never.ckpt"),
+        ])
+    _assert_one_line_error(capsys, exc_info)
+    assert not (workdir / "never.ckpt").exists()
 
 
 def test_evaluate_seeds_without_seed_template_exits_2(workdir, capsys):
@@ -301,3 +316,15 @@ def test_sweep_non_numeric_values_exit_2(workdir, capsys, values):
     with pytest.raises(SystemExit) as exc_info:
         main(_sweep_args(workdir, "--values", values))
     _assert_one_line_error(capsys, exc_info)
+
+
+@pytest.mark.parametrize("extra", [["--values", "1,x"], ["--values", "1", "--seeds", "0"]],
+                         ids=["non_numeric_values", "zero_seeds"])
+def test_run_sweep_script_bad_input_exits_2(capsys, extra):
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_sweep.py"))
+    with pytest.raises(SystemExit) as exc_info:
+        script["main"](["--param", "T", *extra])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run_sweep: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -20,8 +20,7 @@ from labeltransfer.fusion import (
     encode_toy,
     fusion_forward,
     gcn_propagate,
-    init_encoder_params,
-    init_fusion_params,
+    init_params,
     label_attention,
     token_fusion,
 )
@@ -31,8 +30,7 @@ from labeltransfer.labelgraph import build_graph
 def make_params(rng, d_h=6, d_p=4, n_types=3, n_tags=7, vocab_size=11):
     params = ModelParams(d_h=d_h, d_p=d_p, n_types=n_types, n_tags=n_tags,
                          encoder_mode="toy")
-    init_encoder_params(params, rng, vocab_size)
-    init_fusion_params(params, rng)
+    init_params(params, rng, vocab_size, fused=True)
     return params
 
 

@@ -226,42 +226,43 @@ def test_batch_graph_node_is_mean_smoothed_row():
     z = np.array([1.0, -1.0, 0.5])
     w = np.array([-0.5, 2.0, 0.0])
     logits = Tensor(np.stack([z, z, w]), requires_grad=True)
-    tgb = target_graph_from_batch(logits, ["A", "A", "B"], temperature=4.0, threshold=1.5)
+    tgb = target_graph_from_batch(logits, ["A", "A", "B"], temperature=4.0)
 
     def smooth(v):
         e = np.exp(v / 4.0 - (v / 4.0).max())
         return e / e.sum()
 
-    raw_a = tgb.nodes.data[0] / tgb.nodes.data[0].sum()
-    np.testing.assert_allclose(raw_a, smooth(z), atol=1e-12)
+    np.testing.assert_allclose(tgb.raw, [smooth(z), smooth(w)], atol=1e-12)
     assert tgb.labels == ("A", "B")
 
 
 def test_batch_graph_coincident_nodes_skip():
     z = np.array([1.0, -1.0, 0.5])
     logits = Tensor(np.stack([z, z, z]))
-    assert target_graph_from_batch(logits, ["A", "A", "B"], 4.0, 1.5) is None
+    assert target_graph_from_batch(logits, ["A", "A", "B"], 4.0) is None
 
 
 def test_batch_graph_two_labels_two_nodes():
     rng = np.random.default_rng(5)
     logits = Tensor(rng.normal(size=(4, 3)))
-    tgb = target_graph_from_batch(logits, ["A", "B", "A", "B"], 4.0, 1.5)
-    assert tgb.graph.n == 2
+    tgb = target_graph_from_batch(logits, ["A", "B", "A", "B"], 4.0)
+    assert tgb.labels == ("A", "B") and tgb.raw.shape == (2, 3)
+    # two nodes: zero self-distances, and the normalized pair distances sum to n² = 4
+    np.testing.assert_allclose(tgb.distances.data, [[0.0, 2.0], [2.0, 0.0]], atol=1e-12)
 
 
 def test_batch_graph_skips_single_label():
     logits = Tensor(np.zeros((3, 2)))
-    assert target_graph_from_batch(logits, ["A", "A", None], 4.0, 1.5) is None
+    assert target_graph_from_batch(logits, ["A", "A", None], 4.0) is None
 
 
 def test_batch_graph_permutation_symmetry():
     rng = np.random.default_rng(6)
     raw = rng.normal(size=(6, 4))
     types = ["A", "B", "C", "A", "B", "C"]
-    g1 = target_graph_from_batch(Tensor(raw), types, 4.0, 1.5)
+    g1 = target_graph_from_batch(Tensor(raw), types, 4.0)
     relabel = {"A": "C", "B": "A", "C": "B"}
-    g2 = target_graph_from_batch(Tensor(raw), [relabel[t] for t in types], 4.0, 1.5)
+    g2 = target_graph_from_batch(Tensor(raw), [relabel[t] for t in types], 4.0)
     d1 = np.sort(g1.distances.data, axis=None)
     d2 = np.sort(g2.distances.data, axis=None)
     np.testing.assert_allclose(d1, d2, atol=1e-12)
@@ -270,7 +271,7 @@ def test_batch_graph_permutation_symmetry():
 def test_batch_graph_nodes_differentiable():
     rng = np.random.default_rng(8)
     logits = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    tgb = target_graph_from_batch(logits, ["A", "B", "C", "A", "B", "C"], 4.0, 1.5)
+    tgb = target_graph_from_batch(logits, ["A", "B", "C", "A", "B", "C"], 4.0)
     # unweighted sum of normalized distances is constant (= n^2), so weight it
     w = Tensor(np.abs(rng.normal(size=(3, 3))) + np.eye(3))
     (tgb.distances * w).sum().backward()
