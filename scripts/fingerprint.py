@@ -11,7 +11,8 @@ same results when they print the same line.
 ``--save PATH.npz`` also writes every parameter array of f0 and of the four
 variants. ``--against PATH.npz`` adds ``max_abs_delta`` to the line: per
 model, the largest absolute difference of its parameters from the saved run,
-which measures a change that moves results by rounding only.
+which measures a change that moves results by rounding only. A bad
+``--seed`` exits with status 2 and one stderr line, before any work.
 
     python3 scripts/fingerprint.py --seed 0 --save before.npz   # on one tree
     python3 scripts/fingerprint.py --seed 0 --against before.npz  # on another
@@ -23,6 +24,7 @@ import json
 
 import numpy as np
 
+from labeltransfer.cli import one_line_errors
 from labeltransfer.data import greedy_sample
 from labeltransfer.pipeline import TrainConfig, evaluate, finetune, train_source
 from labeltransfer.synth import (
@@ -55,15 +57,12 @@ def max_abs_delta(arrays: dict, saved, name: str) -> float:
     return max(float(np.max(np.abs(arrays[k] - saved[k]), initial=0.0)) for k in keys)
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--save", metavar="PATH.npz", help="write every parameter array here")
-    parser.add_argument("--against", metavar="PATH.npz", help="report max |delta| against a saved run")
-    args = parser.parse_args()
+def run(args) -> dict:
     seed = args.seed
-    task = generate(SynthSpec(seed=seed, target_mixtures=TRANSFER_MIX, **TRANSFER_SPEC))
+    # both check the seed, before any work
+    spec = SynthSpec(seed=seed, target_mixtures=TRANSFER_MIX, **TRANSFER_SPEC)
     base = TrainConfig(seed=seed, **TRANSFER_CONFIG)
+    task = generate(spec)
     f0 = train_source(task.source_train, base)
     few = greedy_sample(task.target_train, 20, seed=seed)
     out = {"seed": seed, "task": task_sha(task), "f0": params_sha(f0)}
@@ -83,6 +82,17 @@ def main():
         with np.load(args.against) as saved:
             models = ("f0", "full", "no_gw", "no_aux", "none")
             out["max_abs_delta"] = {m: max_abs_delta(arrays, saved, m) for m in models}
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--save", metavar="PATH.npz", help="write every parameter array here")
+    parser.add_argument("--against", metavar="PATH.npz", help="report max |delta| against a saved run")
+    args = parser.parse_args(argv)
+    with one_line_errors("fingerprint"):
+        out = run(args)
     print(json.dumps(out))
 
 

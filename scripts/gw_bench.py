@@ -5,7 +5,8 @@ Solves random n x n problems (distances between points drawn in R^3) with
 the transfer experiment's solver settings (epsilon, outer and inner caps, no
 annealing), at n = 4, 8 and 12, the label counts of fine-tuning batches.
 Prints one JSON line per n with the median ms per call over --repeats
-passes of --problems problems, plus nproc and the numpy version.
+passes of --problems problems, plus nproc and the numpy version. Bad input
+exits with status 2 and one stderr line.
 
     PYTHONPATH=src python3 scripts/gw_bench.py
 """
@@ -23,6 +24,8 @@ from time import perf_counter
 
 import numpy as np
 
+from labeltransfer.cli import one_line_errors
+from labeltransfer.errors import InputError
 from labeltransfer.gw import gromov_wasserstein_distances
 from labeltransfer.pipeline import TrainConfig
 from labeltransfer.synth import TRANSFER_CONFIG
@@ -33,11 +36,15 @@ def distance_matrix(rng, n):
     return np.linalg.norm(pts[:, None] - pts[None], axis=-1)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--problems", type=int, default=20, help="problems per n (default 20)")
     parser.add_argument("--repeats", type=int, default=5, help="timed passes (default 5)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    with one_line_errors("gw_bench"):
+        for flag, value in (("--problems", args.problems), ("--repeats", args.repeats)):
+            if value < 1:
+                raise InputError(f"{flag} must be at least 1, got {value}")
     cfg = TrainConfig(**TRANSFER_CONFIG)
     # the arguments fine-tuning passes for each batch
     solver = dict(epsilon=cfg.epsilon, outer_iter=cfg.outer_iter, inner_iter=cfg.inner_iter,

@@ -8,7 +8,8 @@ and the five margins the acceptance gate asserts non-negative.
 
 ``--json-out PATH`` also writes a quality record: the per-seed F1, the four
 means, the five margins, the wall time, and the machine (``nproc``, numpy,
-python and ``git rev-parse HEAD``).
+python and ``git rev-parse HEAD``). Bad input exits with status 2 and one
+stderr line, before any work.
 """
 
 import argparse
@@ -20,7 +21,9 @@ import time
 
 import numpy as np
 
+from labeltransfer.cli import check_seeds, one_line_errors
 from labeltransfer.data import greedy_sample
+from labeltransfer.errors import InputError
 from labeltransfer.pipeline import TrainConfig, evaluate, finetune, train_source
 from labeltransfer.synth import (
     TRANSFER_CONFIG, TRANSFER_MIX, TRANSFER_SPEC, SynthSpec, generate, transfer_variants,
@@ -57,15 +60,10 @@ def machine() -> dict:
             "python": platform.python_version(), "git_head": head}
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=5, help="number of seeds (default 5)")
-    parser.add_argument("--k", type=int, default=20, help="few-shot entities per type")
-    parser.add_argument("--json-out", help="optional path for machine-readable results")
-    args = parser.parse_args()
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
-
+def run(args):
+    check_seeds(args.seeds)
+    if args.k < 1:
+        raise InputError(f"--k must be at least 1, got {args.k}")
     results: dict[str, list[float]] = {}
     start = time.time()
     for seed in range(args.seeds):
@@ -98,6 +96,16 @@ def main():
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)
         print(f"wrote {args.json_out}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seeds", type=int, default=5, help="number of seeds (default 5)")
+    parser.add_argument("--k", type=int, default=20, help="few-shot entities per type")
+    parser.add_argument("--json-out", help="optional path for machine-readable results")
+    args = parser.parse_args(argv)
+    with one_line_errors("run_ablation"):
+        run(args)
 
 
 if __name__ == "__main__":

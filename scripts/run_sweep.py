@@ -4,15 +4,16 @@
 Generates a synthetic task, trains the source tagger once, then sweeps one
 hyperparameter (temperature T, edge threshold delta, or a loss weight) over a
 list of values, fine-tuning and evaluating per value. Emits the CSV produced
-by the sweep driver. Bad input exits with status 2 and one stderr line.
+by the sweep driver. Bad input exits with status 2 and one stderr line,
+before any work.
 """
 
 import argparse
 import sys
 
-from labeltransfer.cli import check_seeds, sweep_values
+from labeltransfer.cli import check_seeds, one_line_errors, sweep_values
 from labeltransfer.data import greedy_sample
-from labeltransfer.errors import LabelTransferError
+from labeltransfer.errors import InputError
 from labeltransfer.pipeline import SWEEP_PARAMS, TrainConfig, sweep, train_source
 from labeltransfer.synth import SynthSpec, generate
 
@@ -20,9 +21,11 @@ from labeltransfer.synth import SynthSpec, generate
 def run(args) -> str:
     values = sweep_values(args.values)
     check_seeds(args.seeds)
-    task = generate(SynthSpec(seed=0, source_sentences=200))
+    if args.k < 1:
+        raise InputError(f"--k must be at least 1, got {args.k}")
     base = TrainConfig(seed=0, learning_rate=0.3, epochs=args.epochs, batch_size=8,
                        inner_iter=50, outer_iter=10)
+    task = generate(SynthSpec(seed=0, source_sentences=200))
     f0 = train_source(task.source_train, base)
     few = greedy_sample(task.target_train, args.k, seed=0)
     return sweep(args.param, values, f0, few, task.target_test, base, seeds=range(args.seeds))
@@ -36,11 +39,8 @@ def main(argv=None):
     parser.add_argument("--k", type=int, default=20)
     parser.add_argument("--epochs", type=int, default=40)
     args = parser.parse_args(argv)
-    try:
+    with one_line_errors("run_sweep"):
         csv_text = run(args)
-    except LabelTransferError as exc:
-        print(f"run_sweep: error: {exc}", file=sys.stderr)
-        sys.exit(2)
     sys.stdout.write(csv_text)
 
 

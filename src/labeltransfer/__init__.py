@@ -3,7 +3,7 @@
 from .autodiff import Tensor, grad_check, l2_distance
 from .data import TaggedCorpus, extract_spans, greedy_sample, micro_f1, parse_conll
 from .gw import gromov_wasserstein, sinkhorn, structural_cost
-from .labelgraph import ConditionalTable, LabelGraph, build_graph, estimate_conditionals
+from .labelgraph import LabelGraph, build_graph, estimate_conditionals
 from .pipeline import Model, TrainConfig, build_source_graph, evaluate, finetune, sweep, train_source
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "gromov_wasserstein",
     "sinkhorn",
     "structural_cost",
-    "ConditionalTable",
     "LabelGraph",
     "build_graph",
     "estimate_conditionals",

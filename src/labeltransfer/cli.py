@@ -8,6 +8,7 @@ values and the LST_SEED environment variable overrides the seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -18,6 +19,16 @@ from .data import greedy_sample, parse_conll
 from .errors import InputError, LabelTransferError
 from .gw import gromov_wasserstein, plan_to_csv
 from .pipeline import Model, TrainConfig, aggregate, build_source_graph, evaluate, finetune, train_source
+
+
+@contextlib.contextmanager
+def one_line_errors(prog: str):
+    """End a package error or OSError with one ``prog: error:`` stderr line and exit status 2."""
+    try:
+        yield
+    except (LabelTransferError, OSError) as exc:
+        print(f"{prog}: error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 def _read_text(path: str) -> str:
@@ -204,11 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None):
     """Run one subcommand; bad input exits with status 2 and one stderr line."""
     args = build_parser().parse_args(argv)
-    try:
+    with one_line_errors("labeltransfer"):
         args.func(args)
-    except (LabelTransferError, OSError) as exc:
-        print(f"labeltransfer: error: {exc}", file=sys.stderr)
-        sys.exit(2)
 
 
 if __name__ == "__main__":

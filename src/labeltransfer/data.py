@@ -158,6 +158,8 @@ def greedy_sample(corpus: TaggedCorpus, k: int, seed: int) -> TaggedCorpus:
     """
     if k < 1:
         raise InputError("k must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     spans = extract_spans(corpus)
     totals: dict[str, int] = {}

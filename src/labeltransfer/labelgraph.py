@@ -3,8 +3,9 @@
 Nodes are entity types represented by (temperature-smoothed) probability
 rows; rows are rescaled so the mean distance over all ordered node pairs is
 1, and an edge links two nodes whenever their distance falls below the
-threshold. BIO prefixes are stripped and O tokens are ignored: the graph
-lives at the entity-type level.
+threshold. The graph lives at the entity-type level: its callers pass each
+entity token's logits with its gold type (BIO prefix stripped) and leave out
+the O tokens.
 """
 
 from __future__ import annotations
@@ -16,32 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, matmul, no_grad, pairwise_distances, pairwise_l2, softmax_rows
-from .data import entity_type
+from .autodiff import Tensor, matmul, pairwise_distances, pairwise_l2, softmax_rows
 from .errors import GraphInputError
-
-
-@dataclass(frozen=True)
-class ConditionalTable:
-    """Per-target-label mean source-label distribution.
-
-    ``rows[k]`` is the averaged smoothed prediction over every token whose
-    gold entity type is ``labels[k]``. Labels with zero support are not
-    included; they are listed in ``excluded``.
-    """
-
-    labels: tuple[str, ...]
-    source_labels: tuple[str, ...]
-    rows: np.ndarray
-    support_counts: tuple[int, ...]
-    excluded: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.rows.shape[0] != len(self.labels):
-            raise GraphInputError("one row per label required")
-        sums = self.rows.sum(axis=1)
-        if self.rows.size and not np.allclose(sums, 1.0, atol=1e-9):
-            raise GraphInputError("conditional rows must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -142,8 +119,6 @@ def threshold_edges(nodes: np.ndarray, threshold: float) -> dict[tuple[int, int]
 
 def build_graph(rows, labels: list[str], threshold: float) -> LabelGraph:
     """Graph from probability rows: normalize then add sub-threshold edges."""
-    if isinstance(rows, ConditionalTable):
-        raise TypeError("pass table.rows and list(table.labels), or use graph_from_table")
     raw = np.asarray(rows, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise GraphInputError("build_graph expects at least one row")
@@ -159,48 +134,23 @@ def build_graph(rows, labels: list[str], threshold: float) -> LabelGraph:
     )
 
 
-def graph_from_table(table: ConditionalTable, threshold: float) -> LabelGraph:
-    return build_graph(table.rows, list(table.labels), threshold)
+def estimate_conditionals(type_logits, gold_types, temperature: float):
+    """(labels, rows): the mean smoothed type distribution of each gold entity type.
 
-
-def estimate_conditionals(model, corpus, temperature: float, label_set: list[str]) -> ConditionalTable:
-    """Average the model's smoothed per-token predictions per gold entity type.
-
-    ``model`` must expose ``type_logits(tokens) -> (n_tokens, n_source)`` and
-    ``type_labels``. Every labeled token is one sample; labels without any
-    token in the corpus are excluded and reported.
+    ``type_logits`` holds one row of type logits per labeled token and
+    ``gold_types`` the gold entity type of each; ``labels`` are the sorted
+    types, and ``rows[k]`` the mean of the smoothed rows of ``labels[k]``'s
+    tokens. The rows are summed token by token in input order, then divided
+    by the count: the per-batch GW solve amplifies last-bit changes in the
+    source graph, so this order is fixed.
     """
-    if temperature <= 0:
-        raise GraphInputError("temperature must be positive")
-    if not corpus.sentences:
-        raise GraphInputError("empty corpus")
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {label: 0 for label in label_set}
-    n_source = len(model.type_labels)
-    for tokens, tags in corpus.sentences:
-        types = [entity_type(t) for t in tags]
-        if not any(t in counts for t in types):
-            continue
-        with no_grad():
-            logits = np.asarray(model.type_logits(tokens), dtype=np.float64)
-            probs = softmax_rows(Tensor(logits), temperature=temperature).data
-        for k, t in enumerate(types):
-            if t is None or t not in counts:
-                continue
-            if t not in sums:
-                sums[t] = np.zeros(n_source)
-            sums[t] += probs[k]
-            counts[t] += 1
-    included = [label for label in label_set if counts[label] > 0]
-    excluded = tuple(label for label in label_set if counts[label] == 0)
-    rows = np.stack([sums[label] / counts[label] for label in included]) if included else np.zeros((0, n_source))
-    return ConditionalTable(
-        labels=tuple(included),
-        source_labels=tuple(model.type_labels),
-        rows=rows,
-        support_counts=tuple(counts[label] for label in included),
-        excluded=excluded,
-    )
+    if not len(gold_types):
+        raise GraphInputError("no labeled tokens")
+    probs = softmax_rows(Tensor(np.asarray(type_logits, dtype=np.float64)), temperature).data
+    labels, index = np.unique(np.asarray(gold_types), return_inverse=True)
+    sums = np.zeros((len(labels), probs.shape[1]))
+    np.add.at(sums, index, probs)
+    return tuple(labels.tolist()), sums / np.bincount(index)[:, None]
 
 
 class TargetGraphBatch(NamedTuple):

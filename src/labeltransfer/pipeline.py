@@ -27,13 +27,7 @@ from .autodiff import Tensor
 from .data import TaggedCorpus, entity_type, extract_spans, micro_f1
 from .errors import InputError, NumericError, check_field_types, check_lower_bounds, from_json
 from .gw import gromov_wasserstein_distances, gw_fixed_plan_loss
-from .labelgraph import (
-    LabelGraph,
-    build_graph,
-    estimate_conditionals,
-    graph_from_table,
-    target_graph_from_batch,
-)
+from .labelgraph import LabelGraph, build_graph, estimate_conditionals, target_graph_from_batch
 
 MAGIC = b"LTCK"
 FORMAT_VERSION = 1
@@ -114,6 +108,16 @@ def _batch_segments(sentences) -> fu.Segments:
     return fu.segments([len(s) for s in sentences])  # raises on an empty batch or sentence
 
 
+# Sentences per inference forward (`Model.forward_chunks`). Forward-only
+# tagging of the 3,000-sentence perfbench `tag` corpus (seed 0, median of 5,
+# 2 vCPU) took 0.57 s in chunks of 1, 0.27 s at 4, 0.21 s at 8, 0.20 s at 16,
+# 0.34 s at 32 and 0.63 s at 64: the dense block masks grow as B², so larger
+# chunks get slower. 8 is also the default `batch_size` and the largest batch
+# tests/test_batching.py draws. It is not the model's `batch_size`, so a
+# checkpoint trained with a large batch does not set inference memory.
+EVAL_CHUNK = 8
+
+
 class Model:
     """A checkpointable tagger: plain source tagger or label-fusion model."""
 
@@ -157,6 +161,18 @@ class Model:
         trace = fu.fusion_forward(h, self.source_graph, self.params, seg)
         return fu.tag_logits(trace.h_prime, self.params), trace
 
+    def forward_chunks(self, sentences):
+        """Yield (chunk, tag logits) of consecutive chunks of at most `EVAL_CHUNK` sentences.
+
+        Each chunk is one no-grad forward. Tagging, evaluation and the
+        source-graph build all run inference through this one loop.
+        """
+        for start in range(0, len(sentences), EVAL_CHUNK):
+            chunk = sentences[start : start + EVAL_CHUNK]
+            with ad.no_grad():
+                logits = self.forward(chunk)[0]
+            yield chunk, logits
+
     def tag_logits_array(self, tokens) -> np.ndarray:
         with ad.no_grad():
             return self.forward([tokens])[0].data
@@ -165,27 +181,20 @@ class Model:
         return self.tag_sentences([tokens])[0]
 
     def tag_sentences(self, sentences) -> list[list[str]]:
-        """Greedy tags of each sentence, from one forward over all of them.
+        """Greedy tags of each sentence, from one forward per chunk (`forward_chunks`).
 
         A single sentence is a batch of one; tests/test_batching.py asserts
         that its forward equals the per-sentence composition bit for bit.
         """
-        with ad.no_grad():
-            tag_ids = self.forward(sentences)[0].data.argmax(axis=1)
-        offsets = _batch_segments(sentences).offsets
-        return [[self.tags[i] for i in ids] for ids in np.split(tag_ids, offsets[1:-1])]
-
-    # probabilistic-tagger protocol used by label-graph estimation
-    @property
-    def type_labels(self) -> tuple[str, ...]:
-        return self.labels
-
-    def type_logits(self, tokens) -> np.ndarray:
-        """Per-token entity-type logits: log-sum-exp over each type's B/I tags."""
-        with ad.no_grad():
-            return self.type_logits_tensor(self.forward([tokens])[0]).data
+        tags = []
+        for chunk, logits in self.forward_chunks(sentences):
+            offsets = _batch_segments(chunk).offsets
+            tag_ids = logits.data.argmax(axis=1)
+            tags.extend([self.tags[i] for i in ids] for ids in np.split(tag_ids, offsets[1:-1]))
+        return tags
 
     def type_logits_tensor(self, tag_logit_tensor: Tensor) -> Tensor:
+        """Per-token entity-type logits: log-sum-exp over each type's B/I tags."""
         return ad.logsumexp_cols(tag_logit_tensor, self._groups)
 
     # -- checkpoint I/O ----------------------------------------------------
@@ -455,15 +464,30 @@ def train_source(corpus: TaggedCorpus, config: TrainConfig) -> Model:
 
 
 def build_source_graph(f0: Model, corpus_t: TaggedCorpus, config: TrainConfig) -> LabelGraph:
-    """Frozen source label graph: conditionals of f0 over target tokens."""
-    labels = corpus_t.label_set
-    if not labels:
+    """Frozen source label graph: f0's mean smoothed type distribution per target entity type.
+
+    f0 tags the target corpus in `Model.forward_chunks`, the forward of
+    `evaluate`; each entity token's type logits and gold type go to
+    `estimate_conditionals`. The nodes follow ``corpus_t.label_set``.
+    """
+    gold = [entity_type(t) for _, tags in corpus_t.sentences for t in tags]
+    rows = [k for k, t in enumerate(gold) if t is not None]
+    if not rows:
         raise InputError("target corpus has no entity labels")
-    table = estimate_conditionals(f0, corpus_t, config.temperature, list(labels))
-    return graph_from_table(table, config.edge_threshold)
+    sentences = [tokens for tokens, _ in corpus_t.sentences]
+    chunks = f0.forward_chunks(sentences)
+    type_logits = np.concatenate([f0.type_logits_tensor(logits).data for _, logits in chunks])
+    labels, nodes = estimate_conditionals(type_logits[rows], [gold[k] for k in rows],
+                                          config.temperature)
+    return build_graph(nodes, labels, config.edge_threshold)
 
 
 def _init_finetune_model(f0: Model, corpus_t: TaggedCorpus, config: TrainConfig) -> Model:
+    source = f0.params
+    if config.encoder_mode == "toy" and (source.encoder_mode, source.d_h) != ("toy", config.d_h):
+        raise InputError(f"a toy-encoder config with d_h {config.d_h} needs a toy-encoder "
+                         f"source model of that d_h, not a {source.encoder_mode} encoder "
+                         f"with d_h {source.d_h}")
     labels = corpus_t.label_set
     vocab = fu.Vocab(f0.vocab.itos[1:])
     for _, _, tok, _ in corpus_t.tokens():
@@ -504,16 +528,6 @@ def target_graph_from_corpus(model: Model, corpus: TaggedCorpus, config: TrainCo
     return None if graph.degenerate else graph
 
 
-# Sentences per inference forward in `evaluate`. Forward-only tagging of the
-# 3,000-sentence perfbench `tag` corpus (seed 0, median of 5, 2 vCPU) took
-# 0.57 s in chunks of 1, 0.27 s at 4, 0.21 s at 8, 0.20 s at 16, 0.34 s at
-# 32 and 0.63 s at 64: the dense block masks grow as B², so larger chunks get
-# slower. 8 is also the default `batch_size` and the largest batch
-# tests/test_batching.py draws. It is not the model's `batch_size`, so a
-# checkpoint trained with a large batch does not set inference memory.
-EVAL_CHUNK = 8
-
-
 def evaluate(model: Model, corpus: TaggedCorpus):
     """Micro P/R/F1 of greedy per-token decoding against gold spans.
 
@@ -525,13 +539,8 @@ def evaluate(model: Model, corpus: TaggedCorpus):
     if unknown:
         raise InputError(f"corpus labels not in model label set: {sorted(unknown)}")
     sentences = [tokens for tokens, _ in corpus.sentences]
-    pred_sentences = []
-    for start in range(0, len(sentences), EVAL_CHUNK):
-        chunk = sentences[start : start + EVAL_CHUNK]
-        pred_sentences.extend(zip(chunk, map(tuple, model.tag_sentences(chunk))))
-    gold = extract_spans(corpus)
-    pred = extract_spans(TaggedCorpus(tuple(pred_sentences)))
-    return micro_f1(gold, pred)
+    predicted = TaggedCorpus(tuple(zip(sentences, map(tuple, model.tag_sentences(sentences)))))
+    return micro_f1(extract_spans(corpus), extract_spans(predicted))
 
 
 def aggregate(values) -> dict:

@@ -41,17 +41,6 @@ def make_model(kind: str, rng: np.random.Generator) -> Model:
     return Model("fused", params, fu.Vocab(WORDS), LABELS, config, source_graph=graph)
 
 
-class StubTagger:
-    """Fixed-logits tagger exposing the probabilistic-tagger protocol."""
-
-    def __init__(self, type_labels, logits_by_token):
-        self.type_labels = tuple(type_labels)
-        self._logits = dict(logits_by_token)
-
-    def type_logits(self, tokens):
-        return np.stack([np.asarray(self._logits[t], dtype=np.float64) for t in tokens])
-
-
 @pytest.fixture
 def tiny_corpus() -> TaggedCorpus:
     text = (

@@ -4,7 +4,7 @@ equal the per-sentence ones."""
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import TAGS, WORDS, make_model
@@ -12,7 +12,7 @@ from labeltransfer import autodiff as ad
 from labeltransfer import fusion as fu
 from labeltransfer import pipeline
 from labeltransfer.autodiff import Tensor
-from labeltransfer.data import TaggedCorpus, extract_spans, micro_f1
+from labeltransfer.data import TaggedCorpus, entity_type, extract_spans, micro_f1
 from labeltransfer.gw import gw_fixed_plan_loss
 from labeltransfer.labelgraph import target_graph_from_batch
 from labeltransfer.pipeline import Model, TrainConfig
@@ -162,3 +162,49 @@ def test_batched_evaluation_equals_per_sentence_tagging(seed, kind, lengths):
     assert chunks == [min(chunk, len(lengths) - start) for start in range(0, len(lengths), chunk)]
     predicted = TaggedCorpus(tuple(zip(sentences, map(tuple, per_sentence))))
     assert prf == micro_f1(extract_spans(corpus), extract_spans(predicted))
+
+
+# A one-token sentence forwarded alone takes numpy's vector-matrix product,
+# whose sums run in another order than a batch's matrix product, so its logits
+# differ from the batched ones in the last bit; from two tokens on, a source
+# model's logits match. A fused model's batched forward (the block-masked
+# attention, the block-diagonal GCN) sums in another order at any length.
+multi_token_corpora = corpus_sizes.flatmap(
+    lambda n: st.lists(st.integers(2, 14), min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["source", "fused"]), multi_token_corpora)
+def test_source_graph_pools_the_chunked_forward_like_per_sentence(seed, kind, lengths):
+    rng = np.random.default_rng(seed)
+    model = make_model(kind, rng)
+    corpus = random_corpus(rng, lengths)
+    assume(corpus.label_set)
+
+    # reference: forward each sentence alone, smooth, sum token by token, divide
+    sums, counts = {}, {}
+    for tokens, tags in corpus.sentences:
+        type_logits = model.type_logits_tensor(Tensor(model.tag_logits_array(tokens)))
+        probs = ad.softmax_rows(type_logits, temperature=CONFIG.temperature).data
+        for row, tag in zip(probs, tags):
+            label = entity_type(tag)
+            if label is not None:
+                sums[label] = sums.get(label, np.zeros(len(row))) + row
+                counts[label] = counts.get(label, 0) + 1
+    reference = np.stack([sums[label] / counts[label] for label in corpus.label_set])
+
+    forward = Model.forward
+    chunks = []
+
+    def recording_forward(self, batch):
+        chunks.append(len(batch))
+        return forward(self, batch)
+
+    with mock.patch.object(Model, "forward", recording_forward):
+        graph = pipeline.build_source_graph(model, corpus, CONFIG)
+    chunk = pipeline.EVAL_CHUNK
+    assert chunks == [min(chunk, len(lengths) - start) for start in range(0, len(lengths), chunk)]
+    assert graph.labels == corpus.label_set
+    # bit for bit from the source model, which is what fine-tuning pools
+    atol = 0.0 if kind == "source" else 1e-12
+    np.testing.assert_allclose(graph.raw_nodes, reference, rtol=0, atol=atol)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from labeltransfer import gw, pipeline, synth
 from labeltransfer.cli import main
 from labeltransfer.data import entity_counts, parse_conll
 from labeltransfer.pipeline import Model, evaluate
@@ -66,6 +67,25 @@ def test_sample_meets_quota(workdir):
     sampled = parse_conll((workdir / "fewshot.conll").read_text())
     counts = entity_counts(sampled)
     assert all(c >= 5 for c in counts.values())
+
+
+def test_sample_negative_seed_exits_2(workdir, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sample", "--train", str(workdir / "data" / "target_train.conll"),
+              "--k", "5", "--seed", "-1", "--out", str(workdir / "never.conll")])
+    _assert_one_line_error(capsys, exc_info)
+    assert not (workdir / "never.conll").exists()
+
+
+def test_finetune_config_d_h_other_than_the_source_models_exits_2(workdir, capsys):
+    # f0.ckpt has d_h 16
+    (workdir / "d_h6.json").write_text(json.dumps({"d_h": 6, "d_p": 8, "epochs": 1}))
+    with pytest.raises(SystemExit) as exc_info:
+        main(["finetune", "--source-model", str(workdir / "f0.ckpt"),
+              "--train", str(workdir / "fewshot.conll"), "--config", str(workdir / "d_h6.json"),
+              "--out", str(workdir / "never.ckpt")])
+    _assert_one_line_error(capsys, exc_info)
+    assert not (workdir / "never.ckpt").exists()
 
 
 def test_finetune_checkpoint_has_graph(workdir):
@@ -327,4 +347,38 @@ def test_run_sweep_script_bad_input_exits_2(capsys, extra):
     assert exc_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("run_sweep: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [
+        ("fingerprint", ["--seed", "-1"]),
+        ("run_ablation", ["--seeds", "1", "--k", "0"]),
+        ("run_ablation", ["--seeds", "0"]),
+        ("gw_bench", ["--problems", "0"]),
+        ("gw_bench", ["--repeats", "0"]),
+        ("run_sweep", ["--param", "T", "--values", "1", "--k", "0"]),
+        ("run_sweep", ["--param", "T", "--values", "1", "--epochs", "-1"]),
+    ],
+    ids=["fingerprint_negative_seed", "run_ablation_zero_k", "run_ablation_zero_seeds",
+         "gw_bench_zero_problems", "gw_bench_zero_repeats", "run_sweep_zero_k",
+         "run_sweep_negative_epochs"],
+)
+def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, script, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    # the scripts bind these names when they load
+    monkeypatch.setattr(synth, "generate", no_work)
+    monkeypatch.setattr(pipeline, "train_source", no_work)
+    monkeypatch.setattr(gw, "gromov_wasserstein_distances", no_work)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # gw_bench sets them; restored afterwards
+    namespace = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / f"{script}.py"))
+    with pytest.raises(SystemExit) as exc_info:
+        namespace["main"](argv)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{script}: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -298,6 +298,20 @@ def test_finetune_rejects_unlabeled_corpus(f0):
         finetune(f0, parse_conll("a O\n"), SMALL_CONFIG)
 
 
+@pytest.mark.parametrize("encoder_mode, d_h", [("toy", 8), ("file", 6)],
+                         ids=["toy_other_d_h", "file_encoder"])
+def test_finetune_rejects_source_model_without_the_configs_toy_encoder(encoder_mode, d_h):
+    # a toy-encoder config copies f0's toy encoder, so f0 must hold one of its d_h
+    rng = np.random.default_rng(0)
+    params = fu.ModelParams(d_h=d_h, d_p=4, n_types=2, n_tags=5, encoder_mode=encoder_mode)
+    fu.init_params(params, rng, 3, fused=False)
+    source_config = TrainConfig(d_h=d_h, d_p=4, encoder_mode=encoder_mode,
+                                embedding_file="emb.jsonl")
+    f0 = Model("source", params, fu.Vocab(["a", "b"]), ("X", "Y"), source_config)
+    with pytest.raises(InputError, match="toy-encoder source model"):
+        finetune(f0, parse_conll("a B-P\nb B-Q\n"), TrainConfig(d_h=6, d_p=4, epochs=1))
+
+
 def test_gw_term_skipped_when_the_source_subgraph_is_degenerate():
     model = make_model("fused", np.random.default_rng(0))
     # A and B share one raw row: their subgraph has all distances 0
