@@ -14,11 +14,13 @@ once. Leaves (the tensors built directly with ``requires_grad=True``, such as
 parameters) keep their accumulated ``.grad``. Inside ``with no_grad():``
 operations record nothing, for inference. The op set is deliberately small:
 just what the fusion network, the losses, and the graph-matching term need.
-Two ops fuse a chain of smaller ones into one node with a hand-written
+Three ops fuse a chain of smaller ones into one node with a hand-written
 backward: ``cross_entropy_rows`` (the mean of ``-pick(log_softmax_rows(a),
-ids)``) and ``window_mix`` (the toy encoder's window-3 mixing layer with
-residual); each computes its forward with the same array operations as the
-chain it replaces, so their values agree bit for bit.
+ids)``), ``window_mix`` (the toy encoder's window-3 mixing layer with
+residual) and ``label_fusion`` (label attention, GCN and token fusion over
+a batch of sentences); each computes its forward with the same array
+operations as the chain it replaces, so their values agree bit for bit (for
+``label_fusion``, on a batch of one).
 """
 
 from __future__ import annotations
@@ -260,17 +262,24 @@ def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
         raise InputError("temperature must be positive")
     if not np.all(np.isfinite(a.data)):
         raise NumericError("softmax_rows: non-finite input")
-    z = a.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax(a.data / temperature)
 
     def backward(g):
         if a.requires_grad:
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            a._accum((g - inner) * s / temperature)
+            a._accum(_softmax_grad(g, s) / temperature)
 
     return Tensor._make(s, (a,), backward)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by its max; -inf entries get weight 0."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The gradient of `_softmax`'s input from that of its output ``s``."""
+    return (g - (g * s).sum(axis=-1, keepdims=True)) * s
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
@@ -437,6 +446,95 @@ def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Ten
                      + _unshifted(gm @ right.data.T, -1, keep_next))
 
     return Tensor._make(x + mixed * mask, (e, left, center, right, bias), backward)
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """A stack of matrices as one matrix of all their rows."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def label_fusion(h: Tensor, proj_w: Tensor, proj_b: Tensor, label_reps: Tensor,
+                 gcn_w1: Tensor, gcn_w2: Tensor, out_w: Tensor, out_b: Tensor,
+                 a_hat: np.ndarray, lengths) -> Tensor:
+    """Label attention, a two-layer GCN and token fusion as one op.
+
+    ``h`` holds the token rows of a batch's sentences one after another and
+    ``lengths`` their counts. For each sentence, with
+    ``q = h @ proj_w + proj_b``:
+
+        u  = softmax_rows(label_reps @ q.T) @ q
+        u' = a_hat @ relu(a_hat @ u @ gcn_w1) @ gcn_w2
+        h' = h + softmax_rows(q @ u'.T) @ u' @ out_w + out_b
+
+    The sentences run side by side on padded (B, n_max, ·) arrays: the label
+    scores of a padding token are -inf, so it gets no attention, and every
+    sentence shares ``a_hat``. Per sentence the forward runs the array
+    operations of that composition in its order, so on a batch of one the
+    two agree bit for bit.
+    """
+    x = h.data
+    lengths = np.asarray(lengths, dtype=np.intp)
+    d_p = proj_w.data.shape[1]
+    if (x.ndim != 2 or proj_w.data.shape[0] != x.shape[1] or lengths.ndim != 1
+            or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != x.shape[0]
+            or a_hat.shape != (label_reps.data.shape[0],) * 2):
+        raise ShapeError("label_fusion expects (n, d) rows, a positive length per sentence "
+                         "and one adjacency row and column per label")
+    # row r of h is token position[r] of sentence sentence[r]
+    sentence = np.repeat(np.arange(lengths.size), lengths)
+    position = np.arange(x.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    padding = np.arange(lengths.max()) >= lengths[:, None]  # B x n_max
+
+    q = x @ proj_w.data + proj_b.data
+    qp = np.zeros((lengths.size, lengths.max(), d_p))
+    qp[sentence, position] = q
+    scores = label_reps.data @ qp.transpose(0, 2, 1)  # B x n_types x n_max
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("label_fusion: non-finite label scores")
+    alpha = _softmax(np.where(padding[:, None, :], -np.inf, scores))
+    u = alpha @ qp
+    au = a_hat @ u
+    z = au @ gcn_w1.data
+    relu_mask = z > 0
+    ah = a_hat @ (z * relu_mask)
+    u_prime = ah @ gcn_w2.data  # B x n_types x d_p
+    scores = qp @ u_prime.transpose(0, 2, 1)  # B x n_max x n_types
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("label_fusion: non-finite token scores")
+    beta = _softmax(scores)
+    mix = (beta @ u_prime)[sentence, position]
+
+    def backward(g):
+        if out_w.requires_grad:
+            out_w._accum(mix.T @ g)
+        if out_b.requires_grad:
+            out_b._accum(g.sum(axis=0, keepdims=True))
+        g_mix = np.zeros_like(qp)  # padding rows stay 0, and so do their gradients below
+        g_mix[sentence, position] = g @ out_w.data.T
+        g_scores = _softmax_grad(g_mix @ u_prime.transpose(0, 2, 1), beta)
+        g_u_prime = beta.transpose(0, 2, 1) @ g_mix + g_scores.transpose(0, 2, 1) @ qp
+        g_qp = g_scores @ u_prime
+        if gcn_w2.requires_grad:
+            gcn_w2._accum(_flat(ah).T @ _flat(g_u_prime))
+        g_z = (a_hat.T @ (g_u_prime @ gcn_w2.data.T)) * relu_mask
+        if gcn_w1.requires_grad:
+            gcn_w1._accum(_flat(au).T @ _flat(g_z))
+        g_u = a_hat.T @ (g_z @ gcn_w1.data.T)
+        g_qp += alpha.transpose(0, 2, 1) @ g_u
+        g_scores = _softmax_grad(g_u @ qp.transpose(0, 2, 1), alpha)  # 0 at padding
+        if label_reps.requires_grad:
+            label_reps._accum((g_scores @ qp).sum(axis=0))
+        g_qp += g_scores.transpose(0, 2, 1) @ label_reps.data
+        g_q = g_qp[sentence, position]
+        if proj_w.requires_grad:
+            proj_w._accum(x.T @ g_q)
+        if proj_b.requires_grad:
+            proj_b._accum(g_q.sum(axis=0, keepdims=True))
+        if h.requires_grad:
+            h._accum(g + g_q @ proj_w.data.T)
+
+    parents = (h, proj_w, proj_b, label_reps, gcn_w1, gcn_w2, out_w, out_b)
+    return Tensor._make(x + mix @ out_w.data + out_b.data, parents, backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:

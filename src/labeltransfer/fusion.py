@@ -11,19 +11,21 @@ entity-presence head (binary cross-entropy).
 Batch layout. A training batch of B sentences runs as one graph: the
 sentences' token rows are concatenated into one (ΣN × d) matrix, and
 ``lengths`` gives each sentence's token count. The encoder's window never
-crosses a sentence boundary; the label representations are tiled once per
-sentence (B·n_types components); both attention score matrices get a
-constant additive block mask, so each sentence attends only to its own
-tokens and components; the GCN runs on the block-diagonal ``I_B ⊗ Â``
-(the batching of PyTorch Geometric); and the presence head pools each
-sentence with a (B × ΣN) averaging matrix. The masks are dense, (B·n_types ×
-ΣN), so their cost grows as B²: inference therefore runs in small chunks of
-sentences (``pipeline.EVAL_CHUNK``), each one batched forward. ``lengths`` is
-the token counts or their checked `Segments`, built once per forward; the
-mask is built once in `fusion_forward` and `token_fusion` reads its
-transpose. A single sentence is a batch of one (``lengths=None`` or
-``mask=None`` resolve to it), and tests/test_batching.py asserts that its
-forward equals the per-sentence composition bit for bit.
+crosses a sentence boundary. Label attention, the GCN and token fusion run
+as one op (`autodiff.label_fusion`) on padded (B, n_max, ·) arrays: each
+sentence attends only to its own tokens and components through batched
+matrix products, a padding token's label score is -inf, and every sentence
+shares the one normalized adjacency Â (for one shared graph, the
+block-diagonal batching of PyTorch Geometric is a broadcast product with
+Â). Cost is linear in B, so inference runs in chunks of
+``pipeline.EVAL_CHUNK`` sentences, each one batched forward. The presence
+head pools each sentence with a (B × ΣN) averaging matrix. ``lengths`` is
+the token counts or their checked `Segments`, built once per forward. A
+single sentence is a batch of one (``lengths=None`` resolves to it), and
+tests/test_batching.py asserts that its forward equals the per-sentence
+composition bit for bit; `label_attention`, `gcn_propagate` and
+`token_fusion` are that composition for one sentence, the reference the
+tests hold the fused op to.
 """
 
 from __future__ import annotations
@@ -171,19 +173,6 @@ def _segments(lengths, n_rows: int) -> Segments:
     return seg
 
 
-# off-block attention score: finite, since softmax_rows rejects non-finite
-# input, and low enough that its exp underflows to exactly 0
-_OFF_BLOCK = -1e30
-
-
-def _block_mask(seg: Segments, n_types: int) -> np.ndarray:
-    """Additive (B·n_types × ΣN) score mask: 0 where component and token share a sentence."""
-    sentences = np.arange(len(seg.lengths))
-    token_sentence = np.repeat(sentences, seg.lengths)
-    component_sentence = np.repeat(sentences, n_types)
-    return np.where(component_sentence[:, None] == token_sentence, 0.0, _OFF_BLOCK)
-
-
 def encode_toy(token_ids: np.ndarray, params: ModelParams, lengths=None) -> Tensor:
     """Embedding lookup plus one window-3 mixing layer with residual.
 
@@ -233,75 +222,47 @@ class EmbeddingFile:
 
 
 class FusionTrace(NamedTuple):
-    # n_s tokens and n_c = n_types components per sentence, summed over the batch
-    q: Tensor        # n_s x d_p
-    alpha: Tensor    # n_c x n_s
-    u: Tensor        # n_c x d_p
-    u_prime: Tensor  # n_c x d_p
-    beta: Tensor     # n_s x n_c
-    h_prime: Tensor  # n_s x d_h
+    h_prime: Tensor  # ΣN x d_h fused token embeddings
     seg: Segments    # the batch's sentence layout
 
 
-def label_attention(h: Tensor, params: ModelParams, mask=None):
-    """Label-guided attention: per entity type, a softmax over tokens.
+def _adjacency(graph: LabelGraph, params: ModelParams) -> np.ndarray:
+    """The graph's normalized adjacency Â, checked against the label components."""
+    if graph.n != params.n_types:
+        raise InputError("graph labels do not align with label components")
+    return graph.adjacency()
 
-    ``mask`` is the batch's additive block mask (`_block_mask`); the label
-    representations are tiled once per sentence.
-    """
-    mask = _block_mask(_segments(None, h.shape[0]), params.n_types) if mask is None else mask
+
+def label_attention(h: Tensor, params: ModelParams):
+    """Label-guided attention over one sentence: per entity type, a softmax over tokens."""
     q = ad.matmul(h, params.proj_w) + params.proj_b
-    n_sentences = mask.shape[0] // params.n_types
-    label_reps = ad.rows_select(params.label_reps, np.tile(np.arange(params.n_types), n_sentences))
-    scores = ad.matmul(label_reps, ad.transpose(q)) + Tensor(mask)  # n_c x n_s
-    alpha = ad.softmax_rows(scores)
+    alpha = ad.softmax_rows(ad.matmul(params.label_reps, ad.transpose(q)))  # n_types x n
     u = ad.matmul(alpha, q)
     return q, alpha, u
 
 
-def block_diagonal(a: np.ndarray, copies: int) -> np.ndarray:
-    """``np.kron(np.eye(copies), a)`` for a square ``a``: one copy of ``a`` per diagonal block."""
-    n = a.shape[0]
-    blocks = np.zeros((copies, n, copies, n))
-    diagonal = np.arange(copies)
-    blocks[diagonal, :, diagonal, :] = a
-    return blocks.reshape(copies * n, copies * n)
-
-
-def gcn_propagate(u: Tensor, graph: LabelGraph, params: ModelParams, n_sentences: int = 1) -> Tensor:
-    """Two GCN layers over the (self-looped, normalized) graph adjacency.
-
-    ``u`` holds ``n_sentences`` blocks of components, one block per sentence.
-    """
-    if graph.n != params.n_types:
-        raise InputError("graph labels do not align with label components")
-    a_hat = Tensor(block_diagonal(graph.adjacency(), n_sentences))
+def gcn_propagate(u: Tensor, graph: LabelGraph, params: ModelParams) -> Tensor:
+    """Two GCN layers over the (self-looped, normalized) graph adjacency."""
+    a_hat = Tensor(_adjacency(graph, params))
     hidden = ad.relu(ad.matmul(ad.matmul(a_hat, u), params.gcn_w1))
     return ad.matmul(ad.matmul(a_hat, hidden), params.gcn_w2)
 
 
-def token_fusion(h: Tensor, q: Tensor, u_prime: Tensor, params: ModelParams, mask=None):
-    """Token-guided fusion: residual add of attention-weighted components.
-
-    ``mask`` is the batch's block mask of `label_attention`; the token scores
-    take its transpose.
-    """
-    mask = _block_mask(_segments(None, h.shape[0]), params.n_types) if mask is None else mask
-    scores = ad.matmul(q, ad.transpose(u_prime)) + Tensor(mask.T)  # n_s x n_c
-    beta = ad.softmax_rows(scores)
+def token_fusion(h: Tensor, q: Tensor, u_prime: Tensor, params: ModelParams):
+    """Token-guided fusion over one sentence: residual add of attention-weighted components."""
+    beta = ad.softmax_rows(ad.matmul(q, ad.transpose(u_prime)))  # n x n_types
     mix = ad.matmul(beta, u_prime)
     h_prime = h + ad.matmul(mix, params.out_w) + params.out_b
     return beta, h_prime
 
 
 def fusion_forward(h: Tensor, graph: LabelGraph, params: ModelParams, lengths=None) -> FusionTrace:
-    """Label attention, GCN and token fusion; the batch mask is built once."""
+    """Label attention, GCN and token fusion of a batch, as one op (`autodiff.label_fusion`)."""
     seg = _segments(lengths, h.shape[0])
-    mask = _block_mask(seg, params.n_types)
-    q, alpha, u = label_attention(h, params, mask)
-    u_prime = gcn_propagate(u, graph, params, len(seg.lengths))
-    beta, h_prime = token_fusion(h, q, u_prime, params, mask)
-    return FusionTrace(q, alpha, u, u_prime, beta, h_prime, seg)
+    p = params
+    h_prime = ad.label_fusion(h, p.proj_w, p.proj_b, p.label_reps, p.gcn_w1, p.gcn_w2,
+                              p.out_w, p.out_b, _adjacency(graph, params), seg.lengths)
+    return FusionTrace(h_prime, seg)
 
 
 def tag_logits(h_prime: Tensor, params: ModelParams) -> Tensor:

@@ -108,14 +108,17 @@ def _batch_segments(sentences) -> fu.Segments:
     return fu.segments([len(s) for s in sentences])  # raises on an empty batch or sentence
 
 
-# Sentences per inference forward (`Model.forward_chunks`). Forward-only
-# tagging of the 3,000-sentence perfbench `tag` corpus (seed 0, median of 5,
-# 2 vCPU) took 0.57 s in chunks of 1, 0.27 s at 4, 0.21 s at 8, 0.20 s at 16,
-# 0.34 s at 32 and 0.63 s at 64: the dense block masks grow as B², so larger
-# chunks get slower. 8 is also the default `batch_size` and the largest batch
-# tests/test_batching.py draws. It is not the model's `batch_size`, so a
-# checkpoint trained with a large batch does not set inference memory.
-EVAL_CHUNK = 8
+# Sentences per inference forward (`Model.forward_chunks`). The batched
+# forward costs time linear in the chunk, so larger chunks only spread the
+# per-forward overhead. Forward-only tagging of the 3,000-sentence perfbench
+# `tag` corpus (seed 0, CPU time, median of 15, 2 vCPU) took 854 ms in chunks
+# of 1, 165 ms at 8, 114 ms at 16, 84 ms at 32, 71 ms at 64, 68 ms at 128 and
+# 75 ms at 256; the block-masked forward this replaced took 229 ms at 8 in
+# the same sweep. In wall time on a quieter machine, 64 came first (43 ms,
+# against 66 ms at 128 and 64 ms at 256). It is not the model's
+# `batch_size`, so a checkpoint trained with a large batch does not set
+# inference memory.
+EVAL_CHUNK = 64
 
 
 class Model:
@@ -134,9 +137,14 @@ class Model:
 
     # -- forward ---------------------------------------------------------
 
-    def encode(self, sentences, seg=None) -> Tensor:
+    def token_ids(self, sentences) -> np.ndarray:
+        """The vocabulary ids of the concatenated sentences' tokens."""
+        return self.vocab.ids([token for s in sentences for token in s])
+
+    def encode(self, sentences, ids, seg=None) -> Tensor:
         """Token embeddings of the concatenated sentences.
 
+        ``ids`` are their `token_ids`, which a file encoder does not read;
         ``seg`` is their `fusion.Segments`, built here when not given.
         """
         if self.config.encoder_mode == "file":
@@ -145,17 +153,18 @@ class Model:
                     raise InputError("encoder_mode='file' requires embedding_file")
                 self._embeddings = fu.EmbeddingFile(self.config.embedding_file)
             return Tensor(np.concatenate([self._embeddings.lookup(list(s)) for s in sentences]))
-        ids = self.vocab.ids([token for s in sentences for token in s])
         return fu.encode_toy(ids, self.params, seg or _batch_segments(sentences))
 
-    def forward(self, sentences):
+    def forward(self, sentences, ids):
         """(tag logits, fusion trace or None) of a batch of sentences, as one graph.
 
-        The logits hold the sentences' token rows one after another, laid
-        out by the batch's one `fusion.Segments` (the trace's ``seg``).
+        ``ids`` are the sentences' `token_ids`: training reads them from
+        its per-run targets, inference resolves them per chunk. The logits
+        hold the sentences' token rows one after another, laid out by the
+        batch's one `fusion.Segments` (the trace's ``seg``).
         """
         seg = _batch_segments(sentences)
-        h = self.encode(sentences, seg)
+        h = self.encode(sentences, ids, seg)
         if self.kind == "source":
             return fu.tag_logits(h, self.params), None
         trace = fu.fusion_forward(h, self.source_graph, self.params, seg)
@@ -170,12 +179,12 @@ class Model:
         for start in range(0, len(sentences), EVAL_CHUNK):
             chunk = sentences[start : start + EVAL_CHUNK]
             with ad.no_grad():
-                logits = self.forward(chunk)[0]
+                logits = self.forward(chunk, self.token_ids(chunk))[0]
             yield chunk, logits
 
     def tag_logits_array(self, tokens) -> np.ndarray:
         with ad.no_grad():
-            return self.forward([tokens])[0].data
+            return self.forward([tokens], self.token_ids([tokens]))[0].data
 
     def predict_tags(self, tokens) -> list[str]:
         return self.tag_sentences([tokens])[0]
@@ -188,9 +197,9 @@ class Model:
         """
         tags = []
         for chunk, logits in self.forward_chunks(sentences):
-            offsets = _batch_segments(chunk).offsets
-            tag_ids = logits.data.argmax(axis=1)
-            tags.extend([self.tags[i] for i in ids] for ids in np.split(tag_ids, offsets[1:-1]))
+            names = [self.tags[i] for i in logits.data.argmax(axis=1).tolist()]
+            offsets = _batch_segments(chunk).offsets.tolist()
+            tags.extend(names[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
         return tags
 
     def type_logits_tensor(self, tag_logit_tensor: Tensor) -> Tensor:
@@ -321,6 +330,7 @@ class _SentenceTargets(NamedTuple):
     """One training sentence with its fixed targets, resolved once per run."""
 
     tokens: tuple[str, ...]
+    token_ids: np.ndarray  # vocabulary id per token
     tag_ids: np.ndarray  # gold tag id per token
     entity_rows: np.ndarray  # positions of the tokens with a gold entity type
     entity_types: tuple[str, ...]  # the gold type of each of those tokens
@@ -335,7 +345,8 @@ def _sentence_targets(model: Model, corpus: TaggedCorpus) -> list[_SentenceTarge
         types = tuple(entity_type(tags[k]) for k in rows)
         tag_ids = np.array([tag_index[t] for t in tags], dtype=np.intp)
         present = np.array([float(l in types) for l in model.labels])
-        out.append(_SentenceTargets(tokens, tag_ids, np.array(rows, dtype=np.intp), types, present))
+        out.append(_SentenceTargets(tokens, model.token_ids([tokens]), tag_ids,
+                                    np.array(rows, dtype=np.intp), types, present))
     return out
 
 
@@ -390,7 +401,8 @@ def _batch_loss(model: Model, batch: list[_SentenceTargets], config: TrainConfig
     the monotone guard) still gives the batch its envelope loss, built on
     the last plan the solver accepted, and sets ``gw_unconverged``.
     """
-    logits, trace = model.forward([sent.tokens for sent in batch])
+    logits, trace = model.forward([sent.tokens for sent in batch],
+                                  np.concatenate([sent.token_ids for sent in batch]))
     cls_loss = fu.classification_loss_from_logits(logits, np.concatenate([s.tag_ids for s in batch]))
     loss = cls_loss
     aux_val = gw_val = 0.0

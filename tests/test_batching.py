@@ -4,6 +4,7 @@ equal the per-sentence ones."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -58,7 +59,7 @@ def per_sentence_loss(model: Model, batch, plan):
     fused = model.kind == "fused"
     cls_terms, weights, aux_terms, entity_logits, gold = [], [], [], [], []
     for sent in batch:
-        logits, trace = model.forward([sent.tokens])
+        logits, trace = model.forward([sent.tokens], sent.token_ids)
         cls_terms.append(fu.classification_loss_from_logits(logits, sent.tag_ids))
         weights.append(len(sent.tokens))
         if fused:
@@ -101,7 +102,8 @@ def test_batched_objective_equals_per_sentence_sum(seed, kind, lengths):
 
     # a batch of one runs the per-sentence forward unchanged, bit for bit
     for sent in tokens:
-        np.testing.assert_array_equal(model.forward([sent])[0].data, parent_forward(model, sent))
+        np.testing.assert_array_equal(model.forward([sent], model.token_ids([sent]))[0].data,
+                                      parent_forward(model, sent))
 
     plans = []
     solve = pipeline.gromov_wasserstein_distances
@@ -121,7 +123,7 @@ def test_batched_objective_equals_per_sentence_sum(seed, kind, lengths):
     reference = per_sentence_loss(model, batch, plan)
     assert abs(out.total.item() - reference.item()) <= 1e-12
 
-    batched_logits = model.forward(tokens)[0].data
+    batched_logits = model.forward(tokens, model.token_ids(tokens))[0].data
     stacked = np.concatenate([model.tag_logits_array(sent) for sent in tokens])
     np.testing.assert_allclose(batched_logits, stacked, rtol=0, atol=1e-12)
 
@@ -132,7 +134,8 @@ def test_batched_objective_equals_per_sentence_sum(seed, kind, lengths):
 
 
 # corpus sizes: whole multiples of the evaluation chunk, and any size up to 20
-corpus_sizes = st.one_of(st.sampled_from([8, 16]), st.integers(1, 20))
+corpus_sizes = st.one_of(st.sampled_from([pipeline.EVAL_CHUNK, 2 * pipeline.EVAL_CHUNK]),
+                         st.integers(1, 20))
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,9 +155,9 @@ def test_batched_evaluation_equals_per_sentence_tagging(seed, kind, lengths):
     forward = Model.forward
     chunks = []
 
-    def recording_forward(self, batch):
+    def recording_forward(self, batch, ids):
         chunks.append(len(batch))
-        return forward(self, batch)
+        return forward(self, batch, ids)
 
     with mock.patch.object(Model, "forward", recording_forward):
         prf = pipeline.evaluate(model, corpus)
@@ -164,11 +167,59 @@ def test_batched_evaluation_equals_per_sentence_tagging(seed, kind, lengths):
     assert prf == micro_f1(extract_spans(corpus), extract_spans(predicted))
 
 
+@pytest.mark.parametrize("kind", ["source", "fused"])
+def test_evaluation_crosses_chunk_boundaries(kind):
+    # three chunks, the last one short, for tagging, evaluation and the source graph
+    rng = np.random.default_rng(3)
+    model = make_model(kind, rng)
+    chunk = pipeline.EVAL_CHUNK
+    corpus = random_corpus(rng, rng.integers(1, 15, size=2 * chunk + 3))
+    sentences = [tokens for tokens, _ in corpus.sentences]
+    per_sentence = [model.predict_tags(tokens) for tokens in sentences]
+
+    forward = Model.forward
+    chunks = []
+
+    def recording_forward(self, batch, ids):
+        chunks.append(len(batch))
+        return forward(self, batch, ids)
+
+    with mock.patch.object(Model, "forward", recording_forward):
+        tags = model.tag_sentences(sentences)
+        prf = pipeline.evaluate(model, corpus)
+        graph = pipeline.build_source_graph(model, corpus, CONFIG)
+    assert chunks == [chunk, chunk, 3] * 3
+    assert tags == per_sentence
+    predicted = TaggedCorpus(tuple(zip(sentences, map(tuple, per_sentence))))
+    assert prf == micro_f1(extract_spans(corpus), extract_spans(predicted))
+    # the type logits of all chunks pool into one graph; a sentence forwarded
+    # alone may sum in another order (see below), hence the tolerance
+    assert graph.labels == corpus.label_set
+    np.testing.assert_allclose(graph.raw_nodes, per_sentence_source_nodes(model, corpus),
+                               rtol=0, atol=1e-12)
+
+
+def per_sentence_source_nodes(model: Model, corpus: TaggedCorpus) -> np.ndarray:
+    """Source-graph nodes built by forwarding each sentence alone, smoothing,
+    summing token by token and dividing."""
+    sums, counts = {}, {}
+    for tokens, tags in corpus.sentences:
+        type_logits = model.type_logits_tensor(Tensor(model.tag_logits_array(tokens)))
+        probs = ad.softmax_rows(type_logits, temperature=CONFIG.temperature).data
+        for row, tag in zip(probs, tags):
+            label = entity_type(tag)
+            if label is not None:
+                sums[label] = sums.get(label, np.zeros(len(row))) + row
+                counts[label] = counts.get(label, 0) + 1
+    return np.stack([sums[label] / counts[label] for label in corpus.label_set])
+
+
 # A one-token sentence forwarded alone takes numpy's vector-matrix product,
 # whose sums run in another order than a batch's matrix product, so its logits
 # differ from the batched ones in the last bit; from two tokens on, a source
-# model's logits match. A fused model's batched forward (the block-masked
-# attention, the block-diagonal GCN) sums in another order at any length.
+# model's logits match. A fused model's batched forward (attention softmax sums
+# that take in padding tokens, projections over the whole batch's rows) sums
+# in another order at any length.
 multi_token_corpora = corpus_sizes.flatmap(
     lambda n: st.lists(st.integers(2, 14), min_size=n, max_size=n))
 
@@ -180,25 +231,14 @@ def test_source_graph_pools_the_chunked_forward_like_per_sentence(seed, kind, le
     model = make_model(kind, rng)
     corpus = random_corpus(rng, lengths)
     assume(corpus.label_set)
-
-    # reference: forward each sentence alone, smooth, sum token by token, divide
-    sums, counts = {}, {}
-    for tokens, tags in corpus.sentences:
-        type_logits = model.type_logits_tensor(Tensor(model.tag_logits_array(tokens)))
-        probs = ad.softmax_rows(type_logits, temperature=CONFIG.temperature).data
-        for row, tag in zip(probs, tags):
-            label = entity_type(tag)
-            if label is not None:
-                sums[label] = sums.get(label, np.zeros(len(row))) + row
-                counts[label] = counts.get(label, 0) + 1
-    reference = np.stack([sums[label] / counts[label] for label in corpus.label_set])
+    reference = per_sentence_source_nodes(model, corpus)
 
     forward = Model.forward
     chunks = []
 
-    def recording_forward(self, batch):
+    def recording_forward(self, batch, ids):
         chunks.append(len(batch))
-        return forward(self, batch)
+        return forward(self, batch, ids)
 
     with mock.patch.object(Model, "forward", recording_forward):
         graph = pipeline.build_source_graph(model, corpus, CONFIG)

@@ -2,6 +2,7 @@
 
 import json
 import runpy
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -360,10 +361,13 @@ def test_run_sweep_script_bad_input_exits_2(capsys, extra):
         ("gw_bench", ["--repeats", "0"]),
         ("run_sweep", ["--param", "T", "--values", "1", "--k", "0"]),
         ("run_sweep", ["--param", "T", "--values", "1", "--epochs", "-1"]),
+        ("collect_bench", ["--out", "no_such_dir/BENCH_0.json"]),
+        ("collect_bench", ["--root", str(Path(__file__).parent)]),
     ],
     ids=["fingerprint_negative_seed", "run_ablation_zero_k", "run_ablation_zero_seeds",
          "gw_bench_zero_problems", "gw_bench_zero_repeats", "run_sweep_zero_k",
-         "run_sweep_negative_epochs"],
+         "run_sweep_negative_epochs", "collect_bench_out_in_missing_dir",
+         "collect_bench_no_perfbench"],
 )
 def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, script, argv):
     def no_work(*args, **kwargs):
@@ -373,6 +377,7 @@ def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, script, a
     monkeypatch.setattr(synth, "generate", no_work)
     monkeypatch.setattr(pipeline, "train_source", no_work)
     monkeypatch.setattr(gw, "gromov_wasserstein_distances", no_work)
+    monkeypatch.setattr(subprocess, "run", no_work)  # collect_bench's benchmark runs
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # gw_bench sets them; restored afterwards
     namespace = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / f"{script}.py"))

@@ -1,15 +1,15 @@
 """Fusion network: attention, graph propagation, residual fusion, losses."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
 from labeltransfer import autodiff as ad
-from labeltransfer import fusion as fu
 from labeltransfer.autodiff import Tensor, grad_check
-from labeltransfer.errors import ShapeError
+from labeltransfer.errors import NumericError, ShapeError
 from labeltransfer.fusion import (
     EmbeddingFile,
     InputError,
@@ -172,7 +172,10 @@ def test_fusion_residual_structure():
     graph = make_graph(rng)
     h = Tensor(rng.normal(size=(5, 6)))
     trace = fusion_forward(h, graph, params)
-    mix = trace.beta.data @ trace.u_prime.data
+    q, _, u = label_attention(h, params)
+    u_prime = gcn_propagate(u, graph, params)
+    beta, _ = token_fusion(h, q, u_prime, params)
+    mix = beta.data @ u_prime.data
     expect = h.data + mix @ params.out_w.data + params.out_b.data
     np.testing.assert_allclose(trace.h_prime.data, expect, atol=1e-12)
 
@@ -354,16 +357,113 @@ def test_attention_rows_always_normalized(seed, n_tokens):
     params = make_params(rng)
     graph = make_graph(rng)
     h = Tensor(rng.normal(size=(n_tokens, 6)))
-    trace = fusion_forward(h, graph, params)
-    np.testing.assert_allclose(trace.alpha.data.sum(axis=1), np.ones(3), atol=1e-10)
-    np.testing.assert_allclose(trace.beta.data.sum(axis=1), np.ones(n_tokens), atol=1e-10)
-    assert np.all(trace.alpha.data >= 0) and np.all(trace.beta.data >= 0)
+    q, alpha, u = label_attention(h, params)
+    beta, _ = token_fusion(h, q, gcn_propagate(u, graph, params), params)
+    np.testing.assert_allclose(alpha.data.sum(axis=1), np.ones(3), atol=1e-10)
+    np.testing.assert_allclose(beta.data.sum(axis=1), np.ones(n_tokens), atol=1e-10)
+    assert np.all(alpha.data >= 0) and np.all(beta.data >= 0)
 
 
-@pytest.mark.parametrize("copies", range(1, 9))
-def test_block_diagonal_equals_kron(copies):
-    a_hat = make_graph(np.random.default_rng(copies), n_types=4).adjacency()
-    got = fu.block_diagonal(a_hat, copies)
-    want = np.kron(np.eye(copies), a_hat)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+# -- the fused op over a batch ------------------------------------------------------------
+
+
+def reference_fusion(h: Tensor, graph, params, lengths) -> Tensor:
+    """The single-sentence composition run sentence by sentence, rows stacked again."""
+    bounds = np.cumsum([0] + list(lengths))
+    rows = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        h_s = ad.rows_select(h, np.arange(lo, hi))
+        q, _, u = label_attention(h_s, params)
+        rows.append(token_fusion(h_s, q, gcn_propagate(u, graph, params), params)[1])
+    return ad.concat_rows(rows)
+
+
+# the parameter blocks label_fusion reads, in its argument order
+FUSION_BLOCKS = ("proj_w", "proj_b", "label_reps", "gcn_w1", "gcn_w2", "out_w", "out_b")
+
+
+def input_grads(out: Tensor, w: np.ndarray, leaves) -> list[np.ndarray]:
+    for leaf in leaves:
+        leaf.grad = None
+    (out * Tensor(w)).sum().backward()
+    return [leaf.grad for leaf in leaves]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.lists(st.integers(1, 14), min_size=1, max_size=8),
+)
+def test_label_fusion_equals_per_sentence_composition(seed, n_types, d_p, lengths):
+    rng = np.random.default_rng(seed)
+    params = make_params(rng, d_p=d_p, n_types=n_types, n_tags=2 * n_types + 1)
+    graph = make_graph(rng, n_types=n_types, threshold=1.5)
+    h = Tensor(rng.normal(size=(sum(lengths), 6)), requires_grad=True)
+    w = rng.normal(size=h.shape)
+    leaves = [h] + [getattr(params, name) for name in FUSION_BLOCKS]
+
+    softmax = ad._softmax
+    weights = []
+
+    def recording_softmax(z):
+        weights.append(softmax(z))
+        return weights[-1]
+
+    with mock.patch.object(ad, "_softmax", recording_softmax):
+        fused = fusion_forward(h, graph, params, lengths).h_prime
+    # the padded attention (B x n_types x n_max) and fusion (B x n_max x n_types)
+    # weights: rows on the simplex, and no label attends to a padding token
+    alpha, beta = weights
+    padding = np.arange(max(lengths)) >= np.array(lengths)[:, None]
+    for weight in weights:
+        assert np.all(weight >= 0)
+        np.testing.assert_allclose(weight.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert beta.shape == (len(lengths), max(lengths), n_types)
+    assert np.all(alpha.transpose(0, 2, 1)[padding] == 0)
+    reference = reference_fusion(h, graph, params, lengths)
+    got, want = input_grads(fused, w, leaves), input_grads(reference, w, leaves)
+    if len(lengths) == 1:
+        # a batch of one runs the reference's array operations: bit for bit
+        assert fused.data.tobytes() == reference.data.tobytes()
+        for g_got, g_want in zip(got, want):
+            assert g_got.tobytes() == g_want.tobytes()
+    np.testing.assert_allclose(fused.data, reference.data, rtol=0, atol=1e-12)
+    for g_got, g_want in zip(got, want):
+        np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
+
+
+def test_grad_label_fusion():
+    # padded sentences of unequal length, every input a leaf
+    rng = np.random.default_rng(14)
+    params = make_params(rng, d_h=4, d_p=3, n_types=3)
+    graph = make_graph(rng, threshold=1.5)
+    a_hat = graph.adjacency()
+    lengths = [3, 1, 4]
+    h = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 4)))
+    leaves = [h] + [getattr(params, name) for name in FUSION_BLOCKS]
+
+    def objective():
+        return (ad.label_fusion(*leaves, a_hat, lengths) * w).sum()
+
+    report = grad_check(objective, leaves)
+    assert report.passed, f"max rel err {report.max_rel_err}"
+
+
+def test_label_fusion_rejects_bad_input():
+    rng = np.random.default_rng(15)
+    params = make_params(rng)
+    graph = make_graph(rng)
+    h = Tensor(rng.normal(size=(4, 6)))
+    with pytest.raises(ShapeError):
+        fusion_forward(h, graph, params, [2, 1])
+    blocks = [getattr(params, name) for name in FUSION_BLOCKS]
+    with pytest.raises(ShapeError):
+        ad.label_fusion(h, *blocks, graph.adjacency(), [4, 0])
+    with pytest.raises(ShapeError):
+        ad.label_fusion(h, *blocks, np.eye(2), [4])
+    h.data[1, 0] = np.inf
+    with pytest.raises(NumericError):
+        fusion_forward(h, graph, params)

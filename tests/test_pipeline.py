@@ -284,12 +284,14 @@ def test_file_encoder_through_training(task, tmp_path):
     assert 0.0 <= evaluate(model, task.target_test)[2] <= 1.0
     # a batch reads each sentence's own vectors, in order
     sentences = [tokens for tokens, _ in task.target_train.sentences[:4]]
+    ids = model.token_ids(sentences)
     np.testing.assert_array_equal(
-        model.encode(sentences).data,
-        np.concatenate([model.encode([tokens]).data for tokens in sentences]),
+        model.encode(sentences, ids).data,
+        np.concatenate([model.encode([tokens], model.token_ids([tokens])).data
+                        for tokens in sentences]),
     )
     stacked = np.concatenate([model.tag_logits_array(tokens) for tokens in sentences])
-    np.testing.assert_allclose(model.forward(sentences)[0].data, stacked, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.forward(sentences, ids)[0].data, stacked, rtol=0, atol=1e-12)
     assert model.tag_sentences(sentences) == [model.predict_tags(tokens) for tokens in sentences]
 
 

@@ -3,7 +3,6 @@
 import hashlib
 import os
 
-import numpy as np
 import pytest
 
 from labeltransfer.data import entity_counts, extract_spans, parse_conll
