@@ -73,10 +73,17 @@ class SynthSpec:
         ):
             raise InputError("synth spec field 'target_parents' must map target labels "
                              "to source labels")
-        # labels spell tags and cue words, which a CoNLL line splits at whitespace
+        # labels spell tags and cue words, which a CoNLL line splits at whitespace;
+        # words are spelled from the lowercased label, and a target label draws
+        # from its mixture, so no two labels, source or target, may share a spelling
+        spelled = set()
         for label in (*self.source_labels, *self.target_parents):
             if not label or any(c.isspace() for c in label):
                 raise InputError(f"synth spec label {label!r} must be non-empty, without spaces")
+            if label.lower() in spelled:
+                raise InputError(f"synth spec label {label!r} repeats a source or target label "
+                                 "ignoring case; each label needs words of its own")
+            spelled.add(label.lower())
         for label, mix in (self.target_mixtures or {}).items():
             if not (label in self.target_parents and isinstance(mix, dict)
                     and set(mix) <= set(self.source_labels)
@@ -132,17 +139,39 @@ def _cue_vocab(spec: SynthSpec) -> dict[str, list[str]]:
     return cues
 
 
+def _pick(rng, seq):
+    """One uniform draw from ``seq``, by index.
+
+    Gives the value and leaves the generator state that ``rng.choice(seq)``
+    does on numpy 2, without ``choice``'s conversion of ``seq`` to an array.
+    """
+    return seq[int(rng.integers(0, len(seq)))]
+
+
+def _cdf(weights) -> np.ndarray:
+    """The table ``rng.choice(len(weights), p=weights)`` searches."""
+    cdf = np.asarray(weights, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _weighted_index(rng, cdf) -> int:
+    """The index ``rng.choice(len(w), p=w)`` draws, for ``cdf = _cdf(w)``: one ``random()``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _make_sentence(rng, spec, labels, draw_word, cue_vocab, fillers, distractors, noisy=True):
     """One (tokens, tags) sentence; ``noisy`` only keeps the retired label-noise roll."""
     n = int(rng.integers(spec.sentence_length[0], spec.sentence_length[1] + 1))
-    tokens = [str(rng.choice(fillers)) for _ in range(n)]
+    # one call draws the n indices that n calls of _pick(rng, fillers) would
+    tokens = [fillers[i] for i in rng.integers(0, len(fillers), size=n)]
     tags = ["O"] * n
     n_ent = int(rng.integers(spec.entities_per_sentence[0], spec.entities_per_sentence[1] + 1))
     free = list(range(n))
     for _ in range(n_ent):
         if len(free) < 3:
             break
-        label = str(rng.choice(labels))
+        label = _pick(rng, labels)
         if noisy and label in spec.target_parents:
             # an unused draw (it was the label-noise roll), kept because
             # every seed's corpora depend on the generator state after it
@@ -151,7 +180,7 @@ def _make_sentence(rng, spec, labels, draw_word, cue_vocab, fillers, distractors
         starts = [p for p in free if p + length <= n]
         if not starts:
             continue
-        pos = int(rng.choice(starts))
+        pos = _pick(rng, starts)
         span = [p for p in range(pos, pos + length) if p in free]
         if len(span) < length:
             continue
@@ -162,20 +191,20 @@ def _make_sentence(rng, spec, labels, draw_word, cue_vocab, fillers, distractors
         if spec.cue_scheme == "split" and label in spec.target_parents:
             # subtype cue sits next to the entity; parent cue sits far away
             if pos - 1 in free:
-                tokens[pos - 1] = str(rng.choice(cue_vocab[f"sub:{label}"]))
+                tokens[pos - 1] = _pick(rng, cue_vocab[f"sub:{label}"])
                 free.remove(pos - 1)
             if rng.random() < spec.cue_prob:
                 slots = [p for p in free if p < pos - 2 or p > span[-1] + 2]
                 if slots:
-                    cue_pos = int(rng.choice(slots))
-                    tokens[cue_pos] = str(rng.choice(cue_vocab[f"par:{label}"]))
+                    cue_pos = _pick(rng, slots)
+                    tokens[cue_pos] = _pick(rng, cue_vocab[f"par:{label}"])
                     free.remove(cue_pos)
         elif rng.random() < spec.cue_prob and pos - 1 in free:
-            tokens[pos - 1] = str(rng.choice(cue_vocab[label]))
+            tokens[pos - 1] = _pick(rng, cue_vocab[label])
             free.remove(pos - 1)
     for p in list(free):
         if rng.random() < spec.distractor_prob and distractors:
-            tokens[p] = str(rng.choice(distractors))
+            tokens[p] = _pick(rng, distractors)
     return tuple(tokens), tuple(tags)
 
 
@@ -187,14 +216,19 @@ def generate(spec: SynthSpec) -> SynthTask:
     fillers = [f"w{i}" for i in range(spec.filler_vocab_size)]
     distractors = [f"dx{i}" for i in range(spec.distractor_words)]
 
-    def draw_word(label, rng):
-        if label in source_vocab:
-            return str(rng.choice(source_vocab[label]))
+    # per target label: the vocabularies of its mixture's sources and their CDF;
+    # a parent-only mixture still draws its one random()
+    mixtures = {}
+    for label in target_labels:
         mix = spec.mixture(label)
         sources = sorted(mix)
-        weights = np.array([mix[s] for s in sources])
-        src = sources[int(rng.choice(len(sources), p=weights))]
-        return str(rng.choice(source_vocab[src]))
+        mixtures[label] = ([source_vocab[s] for s in sources], _cdf([mix[s] for s in sources]))
+
+    def draw_word(label, rng):
+        if label in source_vocab:
+            return _pick(rng, source_vocab[label])
+        vocabs, cdf = mixtures[label]
+        return _pick(rng, vocabs[_weighted_index(rng, cdf)])
 
     def corpus(labels, count, noisy=True):
         sentences = tuple(

@@ -294,10 +294,13 @@ def test_export_plan_without_target_model_exits_2(workdir, capsys):
         {"ambiguous_words": 2},
         {"ambiguous_prob": 0.5},
         {"cue_placement": "far"},
+        {"target_parents": {"L1": "L1", "L2": "L2"}, "target_mixtures": {"L1": {"L2": 1.0}}},
+        {"source_labels": ["A", "a"], "target_parents": {"X": "A", "Y": "a"}},
     ],
     ids=["int_sentence_length", "str_count", "unknown_parent", "no_entity_words", "bogus_scheme",
          "negative_count", "retired_entity_word_noise", "retired_cross_parent_noise",
-         "retired_ambiguous_words", "retired_ambiguous_prob", "retired_cue_placement"],
+         "retired_ambiguous_words", "retired_ambiguous_prob", "retired_cue_placement",
+         "target_label_is_source_label", "labels_differ_in_case"],
 )
 def test_malformed_synth_spec_exits_2(tmp_path, capsys, spec):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
