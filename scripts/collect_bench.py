@@ -18,16 +18,12 @@ changes. Bad input exits with status 2 and one stderr line, before any run.
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from labeltransfer.cli import one_line_errors
+from labeltransfer.cli import machine, one_line_errors
 from labeltransfer.errors import InputError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -81,15 +77,6 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
-def git(root: Path, *argv):
-    """The stripped output of a git command in ``root``, or None where git fails."""
-    try:
-        proc = subprocess.run(["git", *argv], cwd=root, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return proc.stdout.strip()
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(REPO), help="checkout to benchmark (default: this one)")
@@ -97,13 +84,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with one_line_errors("collect_bench"):
         root, workloads, seconds, out = check_args(args)
-    record = {
-        "machine": {"nproc": os.cpu_count(), "numpy": np.__version__,
-                    "python": platform.python_version(), "git_head": git(root, "rev-parse", "HEAD"),
-                    # a checkout with uncommitted changes runs code that HEAD does not hold
-                    "git_dirty": bool(git(root, "status", "--porcelain"))},
-        "seeds": SEEDS, "seconds": seconds, "workloads": {},
-    }
+    record = {"machine": machine(root), "seeds": SEEDS, "seconds": seconds, "workloads": {}}
     for workload in workloads:
         runs = {0: [], 1: []}
         for seed in SEEDS:

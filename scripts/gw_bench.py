@@ -5,8 +5,8 @@ Solves random n x n problems (distances between points drawn in R^3) with
 the transfer experiment's solver settings (epsilon, outer and inner caps, no
 annealing), at n = 4, 8 and 12, the label counts of fine-tuning batches.
 Prints one JSON line per n with the median ms per call over --repeats
-passes of --problems problems, plus nproc and the numpy version. Bad input
-exits with status 2 and one stderr line.
+passes of --problems problems, plus the machine (`labeltransfer.cli.machine`).
+Bad input exits with status 2 and one stderr line.
 
     PYTHONPATH=src python3 scripts/gw_bench.py
 """
@@ -20,11 +20,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import statistics
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from labeltransfer.cli import one_line_errors
+from labeltransfer.cli import machine, one_line_errors
 from labeltransfer.errors import InputError
 from labeltransfer.gw import gromov_wasserstein_distances
 from labeltransfer.pipeline import TrainConfig
@@ -45,6 +46,7 @@ def main(argv=None):
         for flag, value in (("--problems", args.problems), ("--repeats", args.repeats)):
             if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
+    host = machine(Path(__file__).resolve().parents[1])
     cfg = TrainConfig(**TRANSFER_CONFIG)
     # the arguments fine-tuning passes for each batch
     solver = dict(epsilon=cfg.epsilon, outer_iter=cfg.outer_iter, inner_iter=cfg.inner_iter,
@@ -64,8 +66,7 @@ def main(argv=None):
             "n": n,
             "ms_per_call": round(statistics.median(passes), 4),
             "solver": solver,
-            "nproc": len(os.sched_getaffinity(0)),
-            "numpy": np.__version__,
+            "machine": host,
         }))
 
 

@@ -12,7 +12,11 @@ import contextlib
 import dataclasses
 import json
 import os
+import platform
+import subprocess
 import sys
+
+import numpy as np
 
 from . import pipeline, synth
 from .data import greedy_sample, parse_conll
@@ -29,6 +33,25 @@ def one_line_errors(prog: str):
     except (LabelTransferError, OSError) as exc:
         print(f"{prog}: error: {exc}", file=sys.stderr)
         sys.exit(2)
+
+
+def machine(root) -> dict:
+    """The machine and checkout a record was taken on.
+
+    ``nproc`` is ``os.cpu_count()``, as in every committed record; ``git_head``
+    and ``git_dirty`` (uncommitted changes, so HEAD does not hold the code that
+    ran) are None where git fails in ``root``.
+    """
+    def git(*argv):
+        try:
+            proc = subprocess.run(["git", *argv], cwd=root, capture_output=True, text=True, check=True)
+        except (OSError, subprocess.CalledProcessError):
+            return None
+        return proc.stdout.strip()
+
+    status = git("status", "--porcelain")
+    return {"nproc": os.cpu_count(), "numpy": np.__version__, "python": platform.python_version(),
+            "git_head": git("rev-parse", "HEAD"), "git_dirty": None if status is None else bool(status)}
 
 
 def _read_text(path: str) -> str:
@@ -109,6 +132,8 @@ def cmd_sample(args):
 
 
 def cmd_export_graph(args):
+    if args.plan and not args.target_model:
+        raise InputError("--plan requires --target-model")
     config = load_config(args.config)
     f0 = Model.load(args.source_model)
     corpus = _read_corpus(args.train)
@@ -116,8 +141,6 @@ def cmd_export_graph(args):
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(graph.to_json())
     if args.plan:
-        if not args.target_model:
-            raise InputError("--plan requires --target-model")
         target = Model.load(args.target_model)
         tgraph = pipeline.target_graph_from_corpus(target, corpus, config)
         if tgraph is None:

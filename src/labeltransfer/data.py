@@ -100,7 +100,8 @@ def parse_conll(text: str | bytes) -> TaggedCorpus:
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected 'token tag', got {line!r}")
         token, tag = fields
-        if tag != "O" and not (tag.startswith("B-") or tag.startswith("I-")):
+        # a B-/I- tag needs a non-empty type
+        if tag != "O" and (len(tag) == 2 or not (tag.startswith("B-") or tag.startswith("I-"))):
             raise ParseError(f"line {lineno}: malformed tag {tag!r}")
         cur_tokens.append(token)
         cur_tags.append(tag)

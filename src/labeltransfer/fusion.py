@@ -192,27 +192,34 @@ def encode_toy(token_ids: np.ndarray, params: ModelParams, lengths=None) -> Tens
 class EmbeddingFile:
     """Frozen per-sentence embeddings loaded from JSON Lines.
 
-    Each line is {"tokens": [...], "vectors": [[...], ...]}; all vectors must
-    share one dimension. Sentences are keyed by their token tuple.
+    Each line is {"tokens": [...], "vectors": [[...], ...]}: one finite
+    vector of dimension ``dim`` (the model's d_h) per token. A malformed
+    line is an InputError naming it. Sentences are keyed by their token tuple.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, dim: int):
         self.table: dict[tuple[str, ...], np.ndarray] = {}
-        self.dim: int | None = None
+        self.dim = dim
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                obj = json.loads(line)
-                vecs = np.asarray(obj["vectors"], dtype=np.float64)
-                if vecs.ndim != 2 or vecs.shape[0] != len(obj["tokens"]):
-                    raise InputError(f"line {lineno}: one vector per token required")
-                if self.dim is None:
-                    self.dim = vecs.shape[1]
-                elif vecs.shape[1] != self.dim:
-                    raise InputError(f"line {lineno}: inconsistent embedding dim")
-                self.table[tuple(obj["tokens"])] = vecs
+                where = f"{path} line {lineno}"
+                try:
+                    obj = json.loads(line)
+                    tokens, vecs = obj["tokens"], np.asarray(obj["vectors"], dtype=np.float64)
+                except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+                    raise InputError(f'{where}: expected {{"tokens": [...], "vectors": [[...], ...]}} '
+                                     f"({type(exc).__name__}: {exc})") from None
+                if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+                    raise InputError(f"{where}: tokens must be a list of strings")
+                if vecs.ndim != 2 or vecs.shape[0] != len(tokens):
+                    raise InputError(f"{where}: one vector per token required")
+                if vecs.shape[1] != dim:
+                    raise InputError(f"{where}: embedding dimension {vecs.shape[1]} is not d_h {dim}")
+                if not np.isfinite(vecs).all():
+                    raise InputError(f"{where}: non-finite vector")
+                self.table[tuple(tokens)] = vecs
 
     def lookup(self, tokens: list[str]) -> np.ndarray:
         key = tuple(tokens)

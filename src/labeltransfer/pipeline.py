@@ -151,7 +151,7 @@ class Model:
             if self._embeddings is None:
                 if not self.config.embedding_file:
                     raise InputError("encoder_mode='file' requires embedding_file")
-                self._embeddings = fu.EmbeddingFile(self.config.embedding_file)
+                self._embeddings = fu.EmbeddingFile(self.config.embedding_file, self.params.d_h)
             return Tensor(np.concatenate([self._embeddings.lookup(list(s)) for s in sentences]))
         return fu.encode_toy(ids, self.params, seg or _batch_segments(sentences))
 

@@ -5,6 +5,7 @@ import runpy
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from labeltransfer import gw, pipeline, synth
@@ -271,12 +272,25 @@ def test_evaluate_seed_template_evaluates_one_checkpoint_per_seed(workdir, capsy
     assert [(r["precision"], r["recall"], r["f1"]) for r in runs] == expected
 
 
+def test_train_source_malformed_embedding_file_exits_2(workdir, capsys):
+    (workdir / "bad_emb.jsonl").write_text('{"tokens": ["a"], "vectors": [[1.0, 2.0]]\n')
+    (workdir / "file_encoder.json").write_text(json.dumps(
+        {"d_h": 2, "d_p": 2, "epochs": 1, "encoder_mode": "file",
+         "embedding_file": str(workdir / "bad_emb.jsonl")}))
+    with pytest.raises(SystemExit) as exc_info:
+        main(["train-source", "--train", str(workdir / "data" / "source_train.conll"),
+              "--config", str(workdir / "file_encoder.json"), "--out", str(workdir / "never.ckpt")])
+    _assert_one_line_error(capsys, exc_info)
+    assert not (workdir / "never.ckpt").exists()
+
+
 def test_export_plan_without_target_model_exits_2(workdir, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["export-graph", "--source-model", str(workdir / "f0.ckpt"),
               "--train", str(workdir / "data" / "target_train.conll"),
               "--out", str(workdir / "graph_only.json"), "--plan", str(workdir / "never.csv")])
     _assert_one_line_error(capsys, exc_info)
+    assert not (workdir / "graph_only.json").exists()
     assert not (workdir / "never.csv").exists()
 
 
@@ -357,9 +371,12 @@ def test_run_sweep_script_bad_input_exits_2(capsys, extra):
 @pytest.mark.parametrize(
     "script, argv",
     [
-        ("fingerprint", ["--seed", "-1"]),
         ("run_ablation", ["--seeds", "1", "--k", "0"]),
         ("run_ablation", ["--seeds", "0"]),
+        ("run_ablation", ["--seeds", "1", "--json-out", "no_such_dir/ABLATION_0.json"]),
+        ("run_ablation", ["--seeds", "1", "--save", "no_such_dir/run.npz"]),
+        ("run_ablation", ["--seeds", "1", "--against", __file__]),
+        ("run_ablation", ["--seeds", "1", "--against", "no_such_dir/run.npz"]),
         ("gw_bench", ["--problems", "0"]),
         ("gw_bench", ["--repeats", "0"]),
         ("run_sweep", ["--param", "T", "--values", "1", "--k", "0"]),
@@ -367,9 +384,10 @@ def test_run_sweep_script_bad_input_exits_2(capsys, extra):
         ("collect_bench", ["--out", "no_such_dir/BENCH_0.json"]),
         ("collect_bench", ["--root", str(Path(__file__).parent)]),
     ],
-    ids=["fingerprint_negative_seed", "run_ablation_zero_k", "run_ablation_zero_seeds",
-         "gw_bench_zero_problems", "gw_bench_zero_repeats", "run_sweep_zero_k",
-         "run_sweep_negative_epochs", "collect_bench_out_in_missing_dir",
+    ids=["run_ablation_zero_k", "run_ablation_zero_seeds", "run_ablation_json_out_in_missing_dir",
+         "run_ablation_save_in_missing_dir", "run_ablation_against_not_npz",
+         "run_ablation_against_missing", "gw_bench_zero_problems", "gw_bench_zero_repeats",
+         "run_sweep_zero_k", "run_sweep_negative_epochs", "collect_bench_out_in_missing_dir",
          "collect_bench_no_perfbench"],
 )
 def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, script, argv):
@@ -389,4 +407,53 @@ def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, script, a
     assert exc_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{script}: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _run_ablation(monkeypatch, capsys, argv) -> list[dict]:
+    """The per-seed hash lines of `scripts/run_ablation.py` on a shrunken transfer task."""
+    monkeypatch.setattr(synth, "TRANSFER_SPEC", dict(
+        synth.TRANSFER_SPEC, source_sentences=40, source_test_sentences=10,
+        target_train_sentences=40, target_test_sentences=20))
+    monkeypatch.setattr(synth, "TRANSFER_CONFIG", dict(synth.TRANSFER_CONFIG, epochs=2))
+    namespace = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_ablation.py"))
+    namespace["main"](["--seeds", "2", "--k", "2", *argv])
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+
+
+def test_run_ablation_save_then_against_reproduces_every_seed(tmp_path, monkeypatch, capsys):
+    saved = str(tmp_path / "run")  # written as named, with no ".npz" added
+    first = _run_ablation(monkeypatch, capsys, ["--save", saved])
+    second = _run_ablation(monkeypatch, capsys, ["--against", saved,
+                                                 "--json-out", str(tmp_path / "record.json")])
+    assert [line["seed"] for line in first] == [0, 1]
+    deltas = [line.pop("max_abs_delta") for line in second]
+    assert second == first
+    assert deltas == [dict.fromkeys(("f0", "full", "no_gw", "no_aux", "none"), 0.0)] * 2
+    record = json.loads((tmp_path / "record.json").read_text())
+    assert [h.pop("max_abs_delta") for h in record["hashes"]] == deltas and record["hashes"] == first
+    assert set(record["machine"]) == {"nproc", "numpy", "python", "git_head", "git_dirty"}
+
+
+@pytest.mark.parametrize(
+    "edit, block",
+    [("drop", "1/no_aux/cls_w"), ("reshape", "0/full/proj_b"), ("add", "1/f0/extra")],
+)
+def test_run_ablation_against_a_run_with_other_blocks_exits_2(tmp_path, monkeypatch, capsys,
+                                                               edit, block):
+    _run_ablation(monkeypatch, capsys, ["--save", str(tmp_path / "run.npz")])
+    with np.load(tmp_path / "run.npz") as saved:
+        arrays = dict(saved)
+    if edit == "drop":
+        del arrays[block]
+    elif edit == "reshape":
+        arrays[block] = arrays[block].ravel()[:-1]
+    else:
+        arrays[block] = np.zeros(1)
+    np.savez(tmp_path / "other.npz", **arrays)
+    with pytest.raises(SystemExit) as exc_info:
+        _run_ablation(monkeypatch, capsys, ["--against", str(tmp_path / "other.npz")])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run_ablation: error: ") and block in err
     assert err.count("\n") == 1 and "Traceback" not in err

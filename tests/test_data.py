@@ -52,6 +52,10 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_conll("a B-X\nb QZ-X\n")
     assert "2" in str(exc.value)
+    for empty_type in ("B-", "I-"):
+        with pytest.raises(ParseError) as exc:
+            parse_conll(f"a O\nb {empty_type}\n")
+        assert "line 2" in str(exc.value)
 
 
 def test_parse_empty_text_gives_empty_corpus():

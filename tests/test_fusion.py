@@ -326,25 +326,36 @@ def test_embedding_file_roundtrip(tmp_path):
         '{"tokens": ["a", "b"], "vectors": [[1.0, 2.0], [3.0, 4.0]]}\n'
         '{"tokens": ["c"], "vectors": [[5.0, 6.0]]}\n'
     )
-    emb = EmbeddingFile(str(path))
+    emb = EmbeddingFile(str(path), 2)
     assert emb.dim == 2
     np.testing.assert_array_equal(emb.lookup(["a", "b"]), [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(InputError):
         emb.lookup(["missing"])
 
 
-def test_embedding_file_validation(tmp_path):
-    bad_count = tmp_path / "bad1.jsonl"
-    bad_count.write_text('{"tokens": ["a", "b"], "vectors": [[1.0]]}\n')
-    with pytest.raises(InputError):
-        EmbeddingFile(str(bad_count))
-    bad_dim = tmp_path / "bad2.jsonl"
-    bad_dim.write_text(
-        '{"tokens": ["a"], "vectors": [[1.0, 2.0]]}\n'
-        '{"tokens": ["b"], "vectors": [[1.0]]}\n'
-    )
-    with pytest.raises(InputError):
-        EmbeddingFile(str(bad_dim))
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"tokens": ["a", "b"], "vectors": [[1.0, 2.0]]}', "one vector per token"),
+        ('{"tokens": ["a"], "vectors": [[1.0, 2.0, 3.0]]}', "dimension 3 is not d_h 2"),
+        ('{"tokens": ["a"], "vectors": [[1.0, 2.0]]', "JSONDecodeError"),
+        ('{"tokens": ["a"]}', "KeyError"),
+        ('[["a"], [[1.0, 2.0]]]', "TypeError"),
+        ('{"tokens": ["a"], "vectors": [["x", 2.0]]}', "ValueError"),
+        ('{"tokens": ["a", "b"], "vectors": [[1.0, 2.0], [1.0]]}', "ValueError"),
+        ('{"tokens": [1], "vectors": [[1.0, 2.0]]}', "list of strings"),
+        ('{"tokens": ["a"], "vectors": [[NaN, 2.0]]}', "non-finite"),
+        ('{"tokens": ["a"], "vectors": [[1.0, -Infinity]]}', "non-finite"),
+    ],
+    ids=["vector_count", "dimension", "not_json", "no_vectors", "json_list", "non_numeric",
+         "ragged", "non_string_token", "nan", "infinity"],
+)
+def test_embedding_file_validation(tmp_path, line, message):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"tokens": ["z"], "vectors": [[0.5, 0.5]]}\n' + line + "\n")
+    with pytest.raises(InputError, match="line 2: ") as exc:
+        EmbeddingFile(str(path), 2)
+    assert message in str(exc.value)
 
 
 # -- properties ----------------------------------------------------------------------------
