@@ -11,9 +11,13 @@ shape differs from the node's data raises ShapeError. ``backward()`` frees
 the tape as it goes: once a non-leaf node's closure has run, the node drops
 its ``grad``, its parents and its closure, so a graph can be backpropagated
 once. Leaves (the tensors built directly with ``requires_grad=True``, such as
-parameters) keep their accumulated ``.grad``. Inside ``with no_grad():``
-operations record nothing, for inference. The op set is deliberately small:
-just what the fusion network, the losses, and the graph-matching term need.
+parameters) keep their accumulated ``.grad``. A leaf whose ``.grad`` is
+already an array (a model parameter's is a view into its model's flat
+gradient vector, `fusion.ModelParams`) gets every gradient added into it in
+place, the first one too, so the view is never rebound. Inside
+``with no_grad():`` operations record nothing, for inference. The op set is
+deliberately small: just what the fusion network, the losses, and the
+graph-matching term need.
 Three ops fuse a chain of smaller ones into one node with a hand-written
 backward: ``cross_entropy_rows`` (the mean of ``-pick(log_softmax_rows(a),
 ids)``), ``window_mix`` (the toy encoder's window-3 mixing layer with

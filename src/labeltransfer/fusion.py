@@ -60,6 +60,11 @@ class ModelParams:
 
     The block fields are the one parameter table: their order is the order
     of `named_tensors`, of `init_params`'s draws and of a checkpoint's blocks.
+    `set_blocks` lays the blocks out in that order in two contiguous vectors,
+    ``flat_data`` and ``flat_grad``: each block's ``data`` and ``grad`` are
+    views into them, so backward accumulates into ``flat_grad`` and an SGD
+    step (`flat`) works on whole vectors. A block whose ``data`` or ``grad``
+    is rebound to another array leaves the layout, and `flat` refuses it.
     """
 
     d_h: int
@@ -83,6 +88,8 @@ class ModelParams:
     cls_b: Tensor | None = _block(1, "n_tags")
     aux_w: Tensor | None = _block("d_h", "n_types")
     aux_b: Tensor | None = _block(1, "n_types")
+    flat_data: np.ndarray | None = field(default=None, repr=False, compare=False)
+    flat_grad: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # the toy encoder, which fine-tuning copies from the source model; a
     # source model holds these (in toy mode) and the tag head cls_*
@@ -109,21 +116,48 @@ class ModelParams:
                 shapes[name] = tuple(dims[d] for d in block["shape"])
         return shapes
 
+    def set_blocks(self, blocks: dict[str, np.ndarray]):
+        """Hold ``blocks`` (name -> array) as trainable tensors viewing two new flat vectors.
+
+        The vectors hold the blocks in table order whatever the order of
+        ``blocks``; every gradient starts at zero.
+        """
+        names = [name for name in _BLOCKS if name in blocks]
+        self.flat_data = np.concatenate([np.ravel(blocks[name]) for name in names], dtype=np.float64)
+        self.flat_grad = np.zeros_like(self.flat_data)
+        offsets = np.cumsum([0] + [blocks[name].size for name in names]).tolist()
+        for name, lo, hi in zip(names, offsets[:-1], offsets[1:]):
+            shape = blocks[name].shape
+            tensor = Tensor(self.flat_data[lo:hi].reshape(shape), requires_grad=True)
+            tensor.grad = self.flat_grad[lo:hi].reshape(shape)
+            setattr(self, name, tensor)
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """(``flat_data``, ``flat_grad``); ShapeError names a block that no longer views them."""
+        data, grad = self.flat_data, self.flat_grad
+        for name, tensor in self.named_tensors():
+            held = data is not None and tensor.data.base is data
+            if not (held and tensor.grad is not None and tensor.grad.base is grad):
+                raise ShapeError(f"parameter block {name!r} no longer views the flat "
+                                 "parameter and gradient vectors")
+        return data, grad
+
 
 # block name -> its field metadata, in field order
 _BLOCKS = {f.name: f.metadata for f in dataclasses.fields(ModelParams) if "shape" in f.metadata}
 
 
 def init_params(params: ModelParams, rng: np.random.Generator, vocab_size: int, fused: bool):
-    """Draw every block of a new source or fused model, in table order."""
+    """Draw every block of a new source or fused model, in table order (`ModelParams.set_blocks`)."""
+    blocks = {}
     for name, shape in params.block_shapes(vocab_size, fused).items():
         block = _BLOCKS[name]
         if block["shape"][0] == 1:
-            data = np.zeros(shape)
+            blocks[name] = np.zeros(shape)
         else:
             scale = block["scale"] or 1.0 / np.sqrt(shape[0])
-            data = rng.uniform(-scale, scale, size=shape)
-        setattr(params, name, Tensor(data, requires_grad=True))
+            blocks[name] = rng.uniform(-scale, scale, size=shape)
+    params.set_blocks(blocks)
 
 
 class Vocab:

@@ -280,12 +280,15 @@ class Model:
             n_tags=dims["n_tags"], encoder_mode=config.encoder_mode,
         )
         shapes = params.block_shapes(len(vocab), fused=kind == "fused")
+        blocks = {}
         (nblocks,) = struct.unpack("<I", buf.read(4))
         for _ in range(nblocks):
             (nlen,) = struct.unpack("<H", buf.read(2))
             name = buf.read(nlen).decode("utf-8")
             if name not in shapes:
                 raise InputError(f"unknown parameter block {name!r}")
+            if name in blocks:
+                raise InputError(f"parameter block {name!r} appears twice")
             (ndim,) = struct.unpack("<B", buf.read(1))
             shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(ndim))
             if shape != shapes[name]:
@@ -293,15 +296,15 @@ class Model:
             count = math.prod(shape)
             if 8 * count > len(raw) - buf.tell():
                 raise InputError(f"parameter block {name!r} is cut short")
-            data = np.frombuffer(buf.read(8 * count), dtype="<f8").reshape(shape).copy()
-            if not np.all(np.isfinite(data)):
+            blocks[name] = np.frombuffer(buf.read(8 * count), dtype="<f8").reshape(shape)
+            if not np.all(np.isfinite(blocks[name])):
                 raise InputError(f"parameter block {name!r} holds non-finite values")
-            setattr(params, name, Tensor(data, requires_grad=True))
         if buf.read(1):
             raise InputError("trailing bytes after the last parameter block")
-        missing = [name for name in shapes if getattr(params, name) is None]
+        missing = [name for name in shapes if name not in blocks]
         if missing:
             raise InputError(f"missing parameter blocks {missing}")
+        params.set_blocks(blocks)  # copies the read-only buffers into the flat vectors
         return cls(kind, params, vocab, labels, config, source_graph=graph)
 
     @classmethod
@@ -310,20 +313,25 @@ class Model:
             return cls.load_bytes(fh.read())
 
 
-def _sgd_step(params: fu.ModelParams, lr: float, loss: float, where: str, clip: float = 5.0):
-    """One SGD step with the gradient norm clipped to ``clip``.
+# the global gradient norm an SGD step clips to
+GRAD_CLIP = 5.0
 
-    A non-finite ``loss`` or gradient norm raises NumericError naming
-    ``where`` before any parameter changes.
+
+def _sgd_step(params: fu.ModelParams, lr: float, loss: float, where: str):
+    """One SGD step on the flat parameter vector, its gradient's norm clipped to `GRAD_CLIP`.
+
+    The step is one dot product, one in-place update and one fill that
+    zeroes every gradient. A non-finite ``loss`` or gradient norm raises
+    NumericError naming ``where`` before any parameter changes; a block that
+    no longer views the flat vectors raises ShapeError (`ModelParams.flat`).
     """
-    tensors = [t for t in params.trainable() if t.grad is not None]
-    norm = float(np.sqrt(sum(float(np.sum(t.grad * t.grad)) for t in tensors)))
+    data, grad = params.flat()
+    norm = math.sqrt(grad.dot(grad))
     if not (math.isfinite(loss) and math.isfinite(norm)):
         raise NumericError(f"{where}: non-finite loss {loss} or gradient norm {norm}")
-    scale = clip / norm if clip and norm > clip else 1.0
-    for tensor in tensors:
-        tensor.data -= lr * scale * tensor.grad
-        tensor.grad = None
+    scale = GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0
+    data -= lr * scale * grad
+    grad.fill(0.0)
 
 
 class _SentenceTargets(NamedTuple):

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from conftest import make_model
 from labeltransfer import fusion as fu
 from labeltransfer import pipeline
+from labeltransfer.autodiff import Tensor
 from labeltransfer.data import InputError, parse_conll
-from labeltransfer.errors import LabelTransferError, NumericError
+from labeltransfer.errors import LabelTransferError, NumericError, ShapeError
 from labeltransfer.labelgraph import build_graph
 from labeltransfer.pipeline import (
     Model,
@@ -344,7 +345,7 @@ def test_sgd_step_rejects_non_finite_gradient_and_loss(bad):
     model = make_model("fused", np.random.default_rng(0))
     before = param_arrays(model)
     for tensor in model.params.trainable():
-        tensor.grad = np.ones_like(tensor.data)
+        tensor.grad[...] = 1.0  # write into the flat gradient vector's views
     model.params.cls_w.grad[0, 0] = bad
     with pytest.raises(NumericError, match="epoch 3, batch 1"):
         pipeline._sgd_step(model.params, 0.1, 1.0, "epoch 3, batch 1")
@@ -458,6 +459,16 @@ def _with_first_value(value: float):
     return corrupt
 
 
+def _with_duplicate_embed(raw: bytes) -> bytes:
+    # a second, well-formed embed block filled with 7.0, appended after the last block
+    (mlen,) = struct.unpack("<I", raw[5:9])
+    (nblocks,) = struct.unpack("<I", raw[9 + mlen : 13 + mlen])
+    (start, end, name), (after, _, _) = _block_headers(raw)[:2]
+    assert name == "embed"
+    copy = raw[start:end] + struct.pack("<d", 7.0) * ((after - end) // 8)
+    return raw[: 9 + mlen] + struct.pack("<I", nblocks + 1) + raw[13 + mlen :] + copy
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -472,14 +483,20 @@ def _with_first_value(value: float):
         _with_first_value(math.nan),
         lambda raw: _with_meta(raw, lambda meta: meta.update(kind="sourcg")),
         lambda raw: _with_meta(raw, lambda meta: meta["vocab"].pop()),  # embed has a row too many
+        _with_duplicate_embed,
     ],
     ids=["cut7", "cut40", "cut_tail", "trailing_byte", "unknown_config_field", "block_name_flip",
          "ndim_flip_bit2", "inf_value", "nan_value", "unknown_kind",
-         "block_shape"],
+         "block_shape", "duplicate_block"],
 )
 def test_checkpoint_rejects_malformed(f0, corrupt):
     with pytest.raises(InputError):
         Model.load_bytes(corrupt(f0.save_bytes()))
+
+
+def test_checkpoint_names_a_block_that_appears_twice(f0):
+    with pytest.raises(InputError, match="parameter block 'embed' appears twice"):
+        Model.load_bytes(_with_duplicate_embed(f0.save_bytes()))
 
 
 def _flip(raw: bytes, bit: int) -> bytes:
@@ -604,6 +621,116 @@ def test_initial_parameter_blocks_are_pinned():
     fused, _ = finetune(f0, parse_conll("a B-P\ne O\nc B-Q\n\nf B-R\n"), cfg)
     assert _blocks_sha(f0) == "bf29462cd976d83b1ad2b9b4649e118668fa00f625a733ad9a3ea630ecb5c683"
     assert _blocks_sha(fused) == "c46b1356b48bb87510cb0629ccb6b8e0279d23beb510b39c6179c00391dbf3aa"
+
+
+# -- flat parameter and gradient vectors --------------------------------------------------
+
+
+def _assert_flat_layout(model: Model):
+    """Every block's data and grad view the flat vectors at the offset `block_shapes` gives."""
+    params = model.params
+    shapes = params.block_shapes(len(model.vocab), model.kind == "fused")
+    assert [name for name, _ in params.named_tensors()] == list(shapes)
+    offset = 0
+    for name, tensor in params.named_tensors():
+        size = math.prod(shapes[name])
+        for view, flat in ((tensor.data, params.flat_data), (tensor.grad, params.flat_grad)):
+            region = flat[offset : offset + size]
+            assert view.shape == shapes[name] and view.flags.c_contiguous, name
+            assert view.base is flat, name
+            assert view.__array_interface__["data"] == region.__array_interface__["data"], name
+        offset += size
+    assert params.flat_data.shape == params.flat_grad.shape == (offset,)
+    assert params.flat_data.dtype == params.flat_grad.dtype == np.float64
+
+
+@pytest.mark.parametrize("mode", ["toy", "file"])
+@pytest.mark.parametrize("kind", ["source", "fused"])
+def test_blocks_view_the_flat_vectors_after_init_and_load(kind, mode):
+    fused = kind == "fused"
+    params = fu.ModelParams(d_h=5, d_p=3, n_types=3, n_tags=7, encoder_mode=mode)
+    fu.init_params(params, np.random.default_rng(0), vocab_size=4, fused=fused)
+    graph = build_graph(np.eye(3), ["A", "B", "C"], 1.5) if fused else None
+    model = Model(kind, params, fu.Vocab(["w1", "w2", "w3"]), ("A", "B", "C"),
+                  TrainConfig(d_h=5, d_p=3, encoder_mode=mode), source_graph=graph)
+    _assert_flat_layout(model)
+    assert not params.flat_grad.any()
+    raw = model.save_bytes()
+    loaded = Model.load_bytes(raw)
+    _assert_flat_layout(loaded)
+    assert not loaded.params.flat_grad.any()
+    np.testing.assert_array_equal(loaded.params.flat_data, params.flat_data)
+    assert loaded.save_bytes() == raw
+
+
+def test_finetune_model_views_its_own_flat_vectors(task, f0):
+    cfg = TrainConfig(d_h=16, d_p=8, epochs=1, learning_rate=0.1, seed=0)
+    f0_data, f0_grad = f0.params.flat_data.copy(), f0.params.flat_grad.copy()
+    fresh = pipeline._init_finetune_model(f0, task.target_train, cfg)
+    _assert_flat_layout(fresh)
+    assert not np.shares_memory(fresh.params.flat_data, f0.params.flat_data)
+    model, _ = finetune(f0, task.target_train, cfg)
+    _assert_flat_layout(model)
+    # fine-tuning reads f0's encoder and writes none of f0's vectors
+    _assert_flat_layout(f0)
+    np.testing.assert_array_equal(f0.params.flat_data, f0_data)
+    np.testing.assert_array_equal(f0.params.flat_grad, f0_grad)
+    raw = model.save_bytes()
+    assert Model.load_bytes(raw).save_bytes() == raw
+
+
+@pytest.mark.parametrize("rebind", ["data", "grad", "block"])
+def test_sgd_step_refuses_a_block_off_the_flat_vectors(rebind):
+    model = make_model("fused", np.random.default_rng(0))
+    model.params.flat_grad[:] = 1.0
+    before = param_arrays(model)
+    tensor = model.params.proj_w
+    if rebind == "block":
+        model.params.proj_w = Tensor(tensor.data.copy(), requires_grad=True)
+        model.params.proj_w.grad = tensor.grad.copy()
+    else:
+        setattr(tensor, rebind, getattr(tensor, rebind).copy())
+    with pytest.raises(ShapeError, match="'proj_w'"):
+        pipeline._sgd_step(model.params, 0.1, 1.0, "epoch 0, batch 0")
+    for name, data in param_arrays(model).items():
+        np.testing.assert_array_equal(data, before[name], err_msg=name)
+
+
+def _per_tensor_sgd_step(params: fu.ModelParams, lr: float, skip=()) -> dict:
+    """The block values after the per-tensor step the flat step replaced.
+
+    That step summed the squared gradient block by block and skipped a block
+    whose gradient was unset (here, those named in ``skip``).
+    """
+    grads = {name: t.grad for name, t in params.named_tensors() if name not in skip}
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    scale = pipeline.GRAD_CLIP / norm if norm > pipeline.GRAD_CLIP else 1.0
+    return {name: t.data - lr * scale * grads[name] if name in grads else t.data.copy()
+            for name, t in params.named_tensors()}
+
+
+@pytest.mark.parametrize("loss_scale, clips", [(1.0, False), (1e3, True)], ids=["no_clip", "clip"])
+def test_flat_sgd_step_matches_the_per_tensor_step(loss_scale, clips):
+    model = make_model("fused", np.random.default_rng(0))
+    corpus = parse_conll("w1 B-A\nw2 I-A\nw3 O\nw4 B-C\n\nw5 B-B\nw6 O\n")
+    batch = pipeline._sentence_targets(model, corpus)
+    # the aux head is ablated, so its blocks get no gradient in the batch
+    out = pipeline._batch_loss(model, batch, model.config, aux_on=False, gw_on=False)
+    (out.total * loss_scale).backward()
+    no_grad = ("aux_w", "aux_b")
+    for name in no_grad:
+        assert not getattr(model.params, name).grad.any()
+    norm = float(np.linalg.norm(model.params.flat_grad))
+    assert (norm > pipeline.GRAD_CLIP) == clips
+    expected = _per_tensor_sgd_step(model.params, 0.05, skip=no_grad)
+    pipeline._sgd_step(model.params, 0.05, out.total.item(), "epoch 0, batch 0")
+    for name, data in param_arrays(model).items():
+        if clips and name not in no_grad:
+            np.testing.assert_allclose(data, expected[name], rtol=0, atol=1e-12, err_msg=name)
+        else:
+            np.testing.assert_array_equal(data, expected[name], err_msg=name)
+    assert not model.params.flat_grad.any()
+    _assert_flat_layout(model)
 
 
 # -- aggregation / sweeps -----------------------------------------------------------------------
