@@ -44,14 +44,19 @@ def check_args(args):
     if not (root / "perfbench" / "run.py").is_file():
         raise InputError(f"no perfbench/run.py under {root}")
     with open(root / "BENCHMARK.json", encoding="utf-8") as fh:
-        benchmark = json.load(fh)
-    workloads = [w["name"] for w in benchmark["workloads"]]
+        try:
+            benchmark = json.load(fh)
+            workloads = [w["name"] for w in benchmark["workloads"]]
+            seconds = benchmark["run_seconds"]
+        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise InputError(f"{fh.name} is not a benchmark declaration "
+                             f"({type(exc).__name__}: {exc})") from None
     out = Path(args.out) if args.out else next_record(REPO)
     if out.exists():
         raise InputError(f"{out} exists; a record is never overwritten")
     if not out.parent.is_dir():
         raise InputError(f"no directory {out.parent} for the record")
-    return root, workloads, benchmark["run_seconds"], out
+    return root, workloads, seconds, out
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -4,30 +4,31 @@
 For each seed: generates the task, trains a coarse-label source tagger f0,
 few-shot samples the fine-label target corpus, and fine-tunes four variants:
 the full objective, each auxiliary term ablated, and both ablated. Prints
-the seed's test F1 and one JSON line: the sha256 of the task's four corpora
-(their CoNLL text) and of f0's parameters and, per variant, of its
-parameters, source graph JSON and log, plus its F1. Two trees give the same
-results when they print the same lines. Last come the mean F1 and the five
-margins the acceptance gate asserts non-negative.
+the seed's test F1 and one JSON line of sha256 hashes: of the task's four
+corpora (their CoNLL text), of f0's flat parameter vector and, per variant,
+of its flat parameter vector, source graph JSON and log, next to its F1.
+Two trees give the same results when they print the same lines. Last come
+the mean F1 and the five margins the acceptance gate asserts non-negative.
 
 ``--json-out PATH`` writes the quality record: the per-seed F1 and hashes,
 the four means, the five margins, the wall time and the machine
-(`labeltransfer.cli.machine`). ``--save PATH.npz`` writes every parameter
-array of f0 and of the four variants, keyed ``<seed>/<model>/<param>``.
-``--against PATH.npz`` adds ``max_abs_delta`` to each seed's hashes: per
-model, the largest absolute difference of its parameters from the saved
-run, which measures a change that moves results by rounding only. Bad input
-exits with status 2 and one stderr line, before any work.
+(`labeltransfer.cli.machine`). ``--save DIR`` writes every seed's f0 and
+variants as checkpoints, ``DIR/<seed>-<model>.ckpt``. ``--against DIR``
+loads such a run before any training and adds ``max_abs_delta`` to each
+seed's hashes: per model, the largest absolute difference of its flat
+parameter vector from the saved model's, whose blocks must match this run's
+in name and shape. Bad input exits with status 2 and one stderr line, before
+any work.
 
-    python3 scripts/run_ablation.py --save before.npz                 # on one tree
-    python3 scripts/run_ablation.py --against before.npz --json-out ABLATION_<n>.json  # on another
+    python3 scripts/run_ablation.py --save before                 # on one tree
+    python3 scripts/run_ablation.py --against before --json-out ABLATION_<n>.json  # on another
 """
 
 import argparse
 import hashlib
 import json
 import time
-import zipfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ import numpy as np
 from labeltransfer.cli import check_seeds, machine, one_line_errors
 from labeltransfer.data import greedy_sample
 from labeltransfer.errors import InputError
-from labeltransfer.pipeline import TrainConfig, evaluate, finetune, train_source
+from labeltransfer.fusion import ModelParams
+from labeltransfer.pipeline import Model, TrainConfig, evaluate, finetune, train_source
 from labeltransfer.synth import (
     TRANSFER_CONFIG, TRANSFER_MIX, TRANSFER_SPEC, SynthSpec, generate, transfer_variants,
 )
@@ -65,61 +67,64 @@ def task_sha(task) -> str:
 
 
 def params_sha(model) -> str:
-    return sha(b"".join(t.data.tobytes() for _, t in model.params.named_tensors()))
+    return sha(model.params.flat()[0].tobytes())
 
 
-def param_arrays(prefix: str, model) -> dict:
-    return {f"{prefix}{pname}": t.data for pname, t in model.params.named_tensors()}
+def checkpoint(directory: str, seed: int, name: str) -> Path:
+    return Path(directory) / f"{seed}-{name}.ckpt"
 
 
-def open_saved(path: str):
-    """The saved run at ``path``, opened as an npz without unpickling."""
-    try:
-        saved = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):  # neither npy nor npz, or truncated
-        saved = None
-    if not isinstance(saved, np.lib.npyio.NpzFile):
-        raise InputError(f"--against {path} is not an npz file")
-    return saved
+def block_table(model) -> list:
+    """(name, shape) of each of the model's parameter blocks, in table order."""
+    return [(name, t.data.shape) for name, t in model.params.named_tensors()]
 
 
-def check_args(args):
-    """The opened ``--against`` run or None; InputError on any bad input."""
+def check_blocks(path: Path, saved: list, blocks: list):
+    """InputError naming ``path`` and the first block where its table ``saved`` differs from ``blocks``."""
+    for k, (there, here) in enumerate(zip_longest(saved, blocks)):
+        if there != here:
+            raise InputError(f"{path}: parameter block {k} is {there}, not {here} as in this run")
+
+
+def check_args(args) -> dict:
+    """The ``--against`` run's models keyed (seed, name), or {}; InputError on any bad input."""
     check_seeds(args.seeds)
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
-    for flag, path in (("--json-out", args.json_out), ("--save", args.save)):
-        if path and not Path(path).resolve().parent.is_dir():
-            raise InputError(f"{flag}: no directory for {path}")
-    return open_saved(args.against) if args.against else None
+    for flag, directory in (("--json-out", args.json_out and Path(args.json_out).resolve().parent),
+                            ("--save", args.save)):
+        if directory and not Path(directory).is_dir():
+            raise InputError(f"{flag}: no directory {directory}")
+    config, saved = TrainConfig(**TRANSFER_CONFIG), {}
+    for seed in range(args.seeds if args.against else 0):
+        for name in ("f0", *VARIANTS):
+            path = checkpoint(args.against, seed, name)
+            try:
+                model = Model.load(str(path))
+            except InputError as exc:
+                raise InputError(f"{path}: {exc}") from None
+            this_tree = ModelParams(d_h=config.d_h, d_p=config.d_p, n_types=model.params.n_types,
+                                    n_tags=model.params.n_tags, encoder_mode=config.encoder_mode)
+            shapes = this_tree.block_shapes(len(model.vocab), fused=model.kind == "fused")
+            check_blocks(path, block_table(model), list(shapes.items()))
+            saved[seed, name] = model
+    return saved
 
 
-def max_abs_delta(arrays: dict, saved, prefix: str) -> float:
-    """Largest |difference| over the blocks under ``prefix``; InputError names the first that differs."""
-    keys = [k for k in arrays if k.startswith(prefix)]
-    saved_keys = set(saved.files)
-    delta = 0.0
-    for key in keys:
-        if key not in saved_keys:
-            raise InputError(f"saved run has no block {key}")
-        old = saved[key]
-        if old.shape != arrays[key].shape:
-            raise InputError(f"block {key} has shape {arrays[key].shape}, {old.shape} in the saved run")
-        delta = max(delta, float(np.max(np.abs(arrays[key] - old), initial=0.0)))
-    extra = sorted(k for k in saved_keys - set(keys) if k.startswith(prefix))
-    if extra:
-        raise InputError(f"saved run has block {extra[0]}, which this run lacks")
-    return delta
+def max_abs_delta(model, saved, path: Path) -> float:
+    """Largest |difference| of the flat parameter vectors, once the block tables agree."""
+    check_blocks(path, block_table(saved), block_table(model))
+    return float(np.max(np.abs(model.params.flat()[0] - saved.params.flat()[0]), initial=0.0))
 
 
 def run_seed(seed: int, k: int) -> tuple[dict, dict]:
-    """(hashes and F1, parameter arrays keyed ``<seed>/<model>/<param>``) of one seed."""
+    """(hashes and F1, models keyed by name) of one seed."""
     task = generate(SynthSpec(seed=seed, target_mixtures=TRANSFER_MIX, **TRANSFER_SPEC))
     base = TrainConfig(seed=seed, **TRANSFER_CONFIG)
     f0 = train_source(task.source_train, base)
     few = greedy_sample(task.target_train, k, seed=seed)
     hashes = {"seed": seed, "task": task_sha(task), "f0": params_sha(f0)}
-    arrays = param_arrays(f"{seed}/f0/", f0)
+    models = {"f0": f0}
     for name, cfg in transfer_variants(base).items():
         model, log = finetune(f0, few, cfg)
         hashes[name] = {
@@ -128,28 +133,27 @@ def run_seed(seed: int, k: int) -> tuple[dict, dict]:
             "log": sha(json.dumps(log).encode()),
             "f1": evaluate(model, task.target_test)[2],
         }
-        arrays.update(param_arrays(f"{seed}/{name}/", model))
-    return hashes, arrays
+        models[name] = model
+    return hashes, models
 
 
 def run(args):
     saved = check_args(args)
     per_seed_hashes = []
-    everything = {}
     start = time.time()
     for seed in range(args.seeds):
-        hashes, arrays = run_seed(seed, args.k)
-        if saved is not None:
+        hashes, models = run_seed(seed, args.k)
+        if saved:
             hashes["max_abs_delta"] = {
-                model: max_abs_delta(arrays, saved, f"{seed}/{model}/") for model in ("f0", *VARIANTS)
+                name: max_abs_delta(model, saved[seed, name], checkpoint(args.against, seed, name))
+                for name, model in models.items()
             }
         if args.save:
-            everything.update(arrays)
+            for name, model in models.items():
+                model.save(str(checkpoint(args.save, seed, name)))
         per_seed_hashes.append(hashes)
         print(f"seed {seed}: " + "  ".join(f"{name}={hashes[name]['f1']:.4f}" for name in VARIANTS))
         print(json.dumps(hashes))
-    if saved is not None:
-        saved.close()
 
     wall_s = time.time() - start
     results = {name: [hashes[name]["f1"] for hashes in per_seed_hashes] for name in VARIANTS}
@@ -162,10 +166,6 @@ def run(args):
     margins = gate_margins(means)
     print("gate margins: " + "  ".join(f"{name}={m:+.5f}" for name, m in margins.items()))
 
-    if args.save:
-        with open(args.save, "wb") as fh:  # np.savez would add ".npz" to a path without it
-            np.savez(fh, **everything)
-        print(f"wrote {args.save}")
     if args.json_out:
         record = {"seeds": args.seeds, "k": args.k, "per_seed": results, "means": means,
                   "margins": margins, "hashes": per_seed_hashes, "wall_s": wall_s,
@@ -180,9 +180,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=5, help="run seeds 0..N-1 (default 5)")
     parser.add_argument("--k", type=int, default=20, help="few-shot entities per type")
     parser.add_argument("--json-out", metavar="PATH", help="write the quality record here")
-    parser.add_argument("--save", metavar="PATH.npz", help="write every parameter array here")
-    parser.add_argument("--against", metavar="PATH.npz",
-                        help="report max |delta| per seed and model against a saved run")
+    parser.add_argument("--save", metavar="DIR", help="write every model here as checkpoints")
+    parser.add_argument("--against", metavar="DIR", help="report max |delta| against a saved run")
     args = parser.parse_args(argv)
     with one_line_errors("run_ablation"):
         run(args)

@@ -132,19 +132,18 @@ def cmd_sample(args):
 
 
 def cmd_export_graph(args):
+    """Write the source graph (and the plan); every input is read and the plan solved first."""
     if args.plan and not args.target_model:
         raise InputError("--plan requires --target-model")
+    for flag, path in (("--out", args.out), ("--plan", args.plan)):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise InputError(f"{flag}: no directory for {path}")
     config = load_config(args.config)
     f0 = Model.load(args.source_model)
     corpus = _read_corpus(args.train)
     graph = build_source_graph(f0, corpus, config)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(graph.to_json())
     if args.plan:
-        target = Model.load(args.target_model)
-        tgraph = pipeline.target_graph_from_corpus(target, corpus, config)
-        if tgraph is None:
-            raise InputError("target graph is degenerate; no plan to export")
+        tgraph = build_source_graph(Model.load(args.target_model), corpus, config)
         gs = graph.subgraph(list(tgraph.labels))
         result = gromov_wasserstein(
             gs, tgraph, epsilon=config.epsilon,
@@ -152,6 +151,9 @@ def cmd_export_graph(args):
         )
         if result is None:
             raise InputError("graphs degenerate; no plan to export")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(graph.to_json())
+    if args.plan:
         with open(args.plan, "w", encoding="utf-8") as fh:
             fh.write(plan_to_csv(gs.labels, tgraph.labels, result.plan.matrix))
     print(json.dumps({"out": args.out, "plan": args.plan}))

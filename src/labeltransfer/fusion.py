@@ -228,12 +228,15 @@ class EmbeddingFile:
 
     Each line is {"tokens": [...], "vectors": [[...], ...]}: one finite
     vector of dimension ``dim`` (the model's d_h) per token. A malformed
-    line is an InputError naming it. Sentences are keyed by their token tuple.
+    line is an InputError naming it. Sentences are keyed by their token tuple:
+    a sentence may repeat with the same vectors, and a repeat with other
+    vectors is an InputError naming both lines.
     """
 
     def __init__(self, path: str, dim: int):
         self.table: dict[tuple[str, ...], np.ndarray] = {}
         self.dim = dim
+        first_line: dict[tuple[str, ...], int] = {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -253,7 +256,12 @@ class EmbeddingFile:
                     raise InputError(f"{where}: embedding dimension {vecs.shape[1]} is not d_h {dim}")
                 if not np.isfinite(vecs).all():
                     raise InputError(f"{where}: non-finite vector")
-                self.table[tuple(tokens)] = vecs
+                key = tuple(tokens)
+                if key in self.table and not np.array_equal(self.table[key], vecs):
+                    raise InputError(f"{where}: sentence {key!r} has other vectors at line "
+                                     f"{first_line[key]}")
+                first_line.setdefault(key, lineno)
+                self.table[key] = vecs
 
     def lookup(self, tokens: list[str]) -> np.ndarray:
         key = tuple(tokens)

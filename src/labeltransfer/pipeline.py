@@ -141,11 +141,11 @@ class Model:
         """The vocabulary ids of the concatenated sentences' tokens."""
         return self.vocab.ids([token for s in sentences for token in s])
 
-    def encode(self, sentences, ids, seg=None) -> Tensor:
+    def encode(self, sentences, ids, seg: fu.Segments) -> Tensor:
         """Token embeddings of the concatenated sentences.
 
         ``ids`` are their `token_ids`, which a file encoder does not read;
-        ``seg`` is their `fusion.Segments`, built here when not given.
+        ``seg`` is their `fusion.Segments`.
         """
         if self.config.encoder_mode == "file":
             if self._embeddings is None:
@@ -153,7 +153,7 @@ class Model:
                     raise InputError("encoder_mode='file' requires embedding_file")
                 self._embeddings = fu.EmbeddingFile(self.config.embedding_file, self.params.d_h)
             return Tensor(np.concatenate([self._embeddings.lookup(list(s)) for s in sentences]))
-        return fu.encode_toy(ids, self.params, seg or _batch_segments(sentences))
+        return fu.encode_toy(ids, self.params, seg)
 
     def forward(self, sentences, ids):
         """(tag logits, fusion trace or None) of a batch of sentences, as one graph.
@@ -183,8 +183,8 @@ class Model:
             yield chunk, logits
 
     def tag_logits_array(self, tokens) -> np.ndarray:
-        with ad.no_grad():
-            return self.forward([tokens], self.token_ids([tokens]))[0].data
+        """Tag logits of one sentence: `forward_chunks` on a batch of one."""
+        return next(self.forward_chunks([tokens]))[1].data
 
     def predict_tags(self, tokens) -> list[str]:
         return self.tag_sentences([tokens])[0]
@@ -534,18 +534,6 @@ def finetune(f0: Model, corpus_t: TaggedCorpus, config: TrainConfig):
     rng = np.random.default_rng(config.seed + 1)  # training order stream
     epochs = _train(model, corpus_t, config, rng)
     return model, [{"epoch": epoch, **stats} for epoch, stats in enumerate(epochs)]
-
-
-def target_graph_from_corpus(model: Model, corpus: TaggedCorpus, config: TrainConfig):
-    """Detached target graph over a whole corpus (for export/inspection).
-
-    The source-graph construction run on the target model: None when the
-    corpus has fewer than 2 entity types or the graph is degenerate.
-    """
-    if len(corpus.label_set) < 2:
-        return None
-    graph = build_source_graph(model, corpus, config)
-    return None if graph.degenerate else graph
 
 
 def evaluate(model: Model, corpus: TaggedCorpus):

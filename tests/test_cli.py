@@ -1,16 +1,23 @@
 """End-to-end command-line workflow on a small synthetic task."""
 
+import contextlib
+import hashlib
+import io
 import json
 import runpy
+import shutil
 import subprocess
+import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from labeltransfer import fusion as fu
 from labeltransfer import gw, pipeline, synth
 from labeltransfer.cli import main
-from labeltransfer.data import entity_counts, parse_conll
+from labeltransfer.data import TaggedCorpus, entity_counts, parse_conll
 from labeltransfer.pipeline import Model, evaluate
 
 
@@ -294,6 +301,33 @@ def test_export_plan_without_target_model_exits_2(workdir, capsys):
     assert not (workdir / "never.csv").exists()
 
 
+@pytest.mark.parametrize("failure", ["corrupt_target", "missing_target", "one_label_corpus",
+                                     "plan_in_missing_dir"])
+def test_export_graph_writes_nothing_when_it_fails(workdir, tmp_path, capsys, failure):
+    target, train = workdir / "fused.ckpt", workdir / "data" / "target_train.conll"
+    out, plan = tmp_path / "graph.json", tmp_path / "plan.csv"
+    if failure == "corrupt_target":
+        target = tmp_path / "corrupt.ckpt"
+        target.write_bytes((workdir / "fused.ckpt").read_bytes()[:-5])
+    elif failure == "missing_target":
+        target = tmp_path / "missing.ckpt"
+    elif failure == "one_label_corpus":
+        corpus = parse_conll(train.read_text())
+        keep = corpus.label_set[0]
+        sentences = tuple((tokens, tuple(t if t[2:] == keep else "O" for t in tags))
+                          for tokens, tags in corpus.sentences)
+        train = tmp_path / "one_label.conll"
+        train.write_text(TaggedCorpus(sentences).to_conll())
+    else:
+        plan = tmp_path / "no_such_dir" / "plan.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["export-graph", "--source-model", str(workdir / "f0.ckpt"), "--train", str(train),
+              "--config", str(workdir / "config.json"), "--out", str(out), "--plan", str(plan),
+              "--target-model", str(target)])
+    _assert_one_line_error(capsys, exc_info)
+    assert not out.exists() and not plan.exists()
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -368,32 +402,69 @@ def test_run_sweep_script_bad_input_exits_2(capsys, extra):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_run_sweep_script_runs_the_transfer_task(monkeypatch):
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def generate(spec):
+        seen["spec"] = spec
+        return types.SimpleNamespace(source_train=None)
+
+    def train_source(corpus, config):
+        seen["config"] = config
+        raise Stop
+
+    # the script binds these names when it loads
+    monkeypatch.setattr(synth, "generate", generate)
+    monkeypatch.setattr(pipeline, "train_source", train_source)
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_sweep.py"))
+    with pytest.raises(Stop):
+        script["main"](["--param", "T", "--values", "1", "--epochs", "3"])
+    assert seen["spec"] == synth.SynthSpec(seed=0, target_mixtures=synth.TRANSFER_MIX,
+                                           **synth.TRANSFER_SPEC)
+    assert seen["config"] == pipeline.TrainConfig(seed=0, **dict(synth.TRANSFER_CONFIG, epochs=3))
+
+
 @pytest.mark.parametrize(
-    "script, argv",
+    "script, argv, files",
     [
-        ("run_ablation", ["--seeds", "1", "--k", "0"]),
-        ("run_ablation", ["--seeds", "0"]),
-        ("run_ablation", ["--seeds", "1", "--json-out", "no_such_dir/ABLATION_0.json"]),
-        ("run_ablation", ["--seeds", "1", "--save", "no_such_dir/run.npz"]),
-        ("run_ablation", ["--seeds", "1", "--against", __file__]),
-        ("run_ablation", ["--seeds", "1", "--against", "no_such_dir/run.npz"]),
-        ("gw_bench", ["--problems", "0"]),
-        ("gw_bench", ["--repeats", "0"]),
-        ("run_sweep", ["--param", "T", "--values", "1", "--k", "0"]),
-        ("run_sweep", ["--param", "T", "--values", "1", "--epochs", "-1"]),
-        ("collect_bench", ["--out", "no_such_dir/BENCH_0.json"]),
-        ("collect_bench", ["--root", str(Path(__file__).parent)]),
+        ("run_ablation", ["--seeds", "1", "--k", "0"], {}),
+        ("run_ablation", ["--seeds", "0"], {}),
+        ("run_ablation", ["--seeds", "1", "--json-out", "no_such_dir/ABLATION_0.json"], {}),
+        ("run_ablation", ["--seeds", "1", "--save", "no_such_dir"], {}),
+        ("run_ablation", ["--seeds", "1", "--save", __file__], {}),
+        ("run_ablation", ["--seeds", "1", "--against", __file__], {}),
+        ("run_ablation", ["--seeds", "1", "--against", "no_such_dir"], {}),
+        ("run_ablation", ["--seeds", "1", "--against", "{tmp}"], {}),
+        ("run_ablation", ["--seeds", "1", "--against", "{tmp}"], {"0-f0.ckpt": "LTCK"}),
+        ("gw_bench", ["--problems", "0"], {}),
+        ("gw_bench", ["--repeats", "0"], {}),
+        ("run_sweep", ["--param", "T", "--values", "1", "--k", "0"], {}),
+        ("run_sweep", ["--param", "T", "--values", "1", "--epochs", "-1"], {}),
+        ("collect_bench", ["--out", "no_such_dir/BENCH_0.json"], {}),
+        ("collect_bench", ["--root", str(Path(__file__).parent)], {}),
+        ("collect_bench", ["--root", "{tmp}"], {"perfbench/run.py": "", "BENCHMARK.json": "{"}),
+        ("collect_bench", ["--root", "{tmp}"],
+         {"perfbench/run.py": "", "BENCHMARK.json": '{"run_seconds": 15}'}),
     ],
     ids=["run_ablation_zero_k", "run_ablation_zero_seeds", "run_ablation_json_out_in_missing_dir",
-         "run_ablation_save_in_missing_dir", "run_ablation_against_not_npz",
-         "run_ablation_against_missing", "gw_bench_zero_problems", "gw_bench_zero_repeats",
+         "run_ablation_save_in_missing_dir", "run_ablation_save_is_a_file",
+         "run_ablation_against_a_file", "run_ablation_against_missing",
+         "run_ablation_against_no_checkpoints", "run_ablation_against_malformed_checkpoint",
+         "gw_bench_zero_problems", "gw_bench_zero_repeats",
          "run_sweep_zero_k", "run_sweep_negative_epochs", "collect_bench_out_in_missing_dir",
-         "collect_bench_no_perfbench"],
+         "collect_bench_no_perfbench", "collect_bench_benchmark_not_json",
+         "collect_bench_benchmark_without_workloads"],
 )
-def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, script, argv):
+def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, tmp_path, script, argv, files):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
+    for name, text in files.items():  # a checkout for --root or --against, under {tmp}
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
     # the scripts bind these names when they load
     monkeypatch.setattr(synth, "generate", no_work)
     monkeypatch.setattr(pipeline, "train_source", no_work)
@@ -403,57 +474,129 @@ def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, script, a
         monkeypatch.setenv(var, "1")  # gw_bench sets them; restored afterwards
     namespace = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / f"{script}.py"))
     with pytest.raises(SystemExit) as exc_info:
-        namespace["main"](argv)
+        namespace["main"]([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert exc_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{script}: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def _run_ablation(monkeypatch, capsys, argv) -> list[dict]:
+# the transfer task of `_run_ablation`, with small corpora
+SMALL_TRANSFER_SPEC = dict(synth.TRANSFER_SPEC, source_sentences=40, source_test_sentences=10,
+                           target_train_sentences=40, target_test_sentences=20)
+
+
+def _run_ablation(monkeypatch, argv) -> list[dict]:
     """The per-seed hash lines of `scripts/run_ablation.py` on a shrunken transfer task."""
-    monkeypatch.setattr(synth, "TRANSFER_SPEC", dict(
-        synth.TRANSFER_SPEC, source_sentences=40, source_test_sentences=10,
-        target_train_sentences=40, target_test_sentences=20))
+    monkeypatch.setattr(synth, "TRANSFER_SPEC", SMALL_TRANSFER_SPEC)
     monkeypatch.setattr(synth, "TRANSFER_CONFIG", dict(synth.TRANSFER_CONFIG, epochs=2))
     namespace = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_ablation.py"))
-    namespace["main"](["--seeds", "2", "--k", "2", *argv])
-    return [json.loads(line) for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        namespace["main"](["--seeds", "2", "--k", "2", *argv])
+    return [json.loads(line) for line in out.getvalue().splitlines() if line.startswith("{")]
 
 
-def test_run_ablation_save_then_against_reproduces_every_seed(tmp_path, monkeypatch, capsys):
-    saved = str(tmp_path / "run")  # written as named, with no ".npz" added
-    first = _run_ablation(monkeypatch, capsys, ["--save", saved])
-    second = _run_ablation(monkeypatch, capsys, ["--against", saved,
-                                                 "--json-out", str(tmp_path / "record.json")])
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """(directory, hash lines) of a shrunken two-seed `run_ablation.py --save`."""
+    directory = tmp_path_factory.mktemp("saved_run")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return directory, _run_ablation(monkeypatch, ["--save", str(directory)])
+
+
+def test_run_ablation_save_then_against_reproduces_every_seed(saved_run, tmp_path, monkeypatch):
+    directory, first = saved_run
+    models = ("f0", "full", "no_gw", "no_aux", "none")
+    assert sorted(p.name for p in directory.iterdir()) == sorted(
+        f"{seed}-{name}.ckpt" for seed in (0, 1) for name in models)
+    second = _run_ablation(monkeypatch, ["--against", str(directory),
+                                         "--json-out", str(tmp_path / "record.json")])
     assert [line["seed"] for line in first] == [0, 1]
     deltas = [line.pop("max_abs_delta") for line in second]
     assert second == first
-    assert deltas == [dict.fromkeys(("f0", "full", "no_gw", "no_aux", "none"), 0.0)] * 2
+    assert deltas == [dict.fromkeys(models, 0.0)] * 2
     record = json.loads((tmp_path / "record.json").read_text())
     assert [h.pop("max_abs_delta") for h in record["hashes"]] == deltas and record["hashes"] == first
     assert set(record["machine"]) == {"nproc", "numpy", "python", "git_head", "git_dirty"}
 
 
+def test_run_ablation_saved_models_are_checkpoints_of_the_printed_run(saved_run, tmp_path, capsys):
+    directory, lines = saved_run
+    for line in lines:
+        seed = line["seed"]
+        f0 = Model.load(str(directory / f"{seed}-f0.ckpt"))
+        assert hashlib.sha256(f0.params.flat_data.tobytes()).hexdigest() == line["f0"]
+        task = synth.generate(synth.SynthSpec(seed=seed, target_mixtures=synth.TRANSFER_MIX,
+                                              **SMALL_TRANSFER_SPEC))
+        test = tmp_path / f"target_test_{seed}.conll"
+        test.write_text(task.target_test.to_conll())
+        for name in ("full", "no_gw", "no_aux", "none"):
+            path = directory / f"{seed}-{name}.ckpt"
+            model = Model.load(str(path))
+            assert hashlib.sha256(model.params.flat_data.tobytes()).hexdigest() == line[name]["params"]
+            main(["evaluate", "--model", str(path), "--test", str(test)])
+            assert json.loads(capsys.readouterr().out)["runs"][0]["f1"] == line[name]["f1"]
+
+
+def _other_dims(path: Path, **dims):
+    """Rewrite the checkpoint at ``path`` as a zero model of its kind with other ``dims``."""
+    model = Model.load(str(path))
+    config = replace(model.config, **dims)
+    params = fu.ModelParams(d_h=config.d_h, d_p=config.d_p, n_types=model.params.n_types,
+                            n_tags=model.params.n_tags, encoder_mode=config.encoder_mode)
+    fused = model.kind == "fused"
+    params.set_blocks({name: np.zeros(shape)
+                       for name, shape in params.block_shapes(len(model.vocab), fused).items()})
+    Model(model.kind, params, model.vocab, model.labels, config, model.source_graph).save(str(path))
+
+
 @pytest.mark.parametrize(
-    "edit, block",
-    [("drop", "1/no_aux/cls_w"), ("reshape", "0/full/proj_b"), ("add", "1/f0/extra")],
+    "edit, name, message",
+    [
+        ("d_p", "0-full", "block 5 is ('label_reps', (4, 33)), not ('label_reps', (4, 32))"),
+        ("file_encoder", "1-no_aux", "block 0 is ('label_reps', (4, 32)), not ('embed', "),
+        ("truncate", "1-none", "parameter block 'aux_b' is cut short"),
+        ("delete", "0-f0", "No such file or directory"),
+    ],
+    ids=["other_d_p", "file_encoder", "truncated", "missing"],
 )
-def test_run_ablation_against_a_run_with_other_blocks_exits_2(tmp_path, monkeypatch, capsys,
-                                                               edit, block):
-    _run_ablation(monkeypatch, capsys, ["--save", str(tmp_path / "run.npz")])
-    with np.load(tmp_path / "run.npz") as saved:
-        arrays = dict(saved)
-    if edit == "drop":
-        del arrays[block]
-    elif edit == "reshape":
-        arrays[block] = arrays[block].ravel()[:-1]
+def test_run_ablation_against_a_bad_saved_model_exits_2_before_training(
+        saved_run, tmp_path, monkeypatch, capsys, edit, name, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the saved run was checked")
+
+    directory = tmp_path / "saved"
+    shutil.copytree(saved_run[0], directory)
+    path = directory / f"{name}.ckpt"
+    if edit == "d_p":
+        _other_dims(path, d_p=33)
+    elif edit == "file_encoder":
+        _other_dims(path, encoder_mode="file")
+    elif edit == "truncate":
+        path.write_bytes(path.read_bytes()[:-5])
     else:
-        arrays[block] = np.zeros(1)
-    np.savez(tmp_path / "other.npz", **arrays)
+        path.unlink()
+    monkeypatch.setattr(pipeline, "train_source", no_training)  # bound when the script loads
     with pytest.raises(SystemExit) as exc_info:
-        _run_ablation(monkeypatch, capsys, ["--against", str(tmp_path / "other.npz")])
+        _run_ablation(monkeypatch, ["--against", str(directory)])
     assert exc_info.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("run_ablation: error: ") and block in err
+    assert err.startswith("run_ablation: error: ") and str(path) in err and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_run_ablation_against_a_run_of_another_task_names_the_first_other_block(
+        saved_run, tmp_path, monkeypatch, capsys):
+    # seed 0's source model where seed 1's belongs: a model of this tree, of another vocabulary
+    directory = tmp_path / "saved"
+    shutil.copytree(saved_run[0], directory)
+    shutil.copyfile(directory / "0-f0.ckpt", directory / "1-f0.ckpt")
+    sizes = [len(Model.load(str(saved_run[0] / f"{seed}-f0.ckpt")).vocab) for seed in (0, 1)]
+    assert sizes[0] != sizes[1]
+    with pytest.raises(SystemExit) as exc_info:
+        _run_ablation(monkeypatch, ["--against", str(directory)])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    expected = f"block 0 is ('embed', ({sizes[0]}, 32)), not ('embed', ({sizes[1]}, 32))"
+    assert err.startswith("run_ablation: error: ") and str(directory / "1-f0.ckpt") in err
+    assert expected in err and err.count("\n") == 1

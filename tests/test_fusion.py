@@ -333,6 +333,25 @@ def test_embedding_file_roundtrip(tmp_path):
         emb.lookup(["missing"])
 
 
+def test_embedding_file_accepts_a_sentence_repeated_with_the_same_vectors(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    line = '{"tokens": ["a", "b"], "vectors": [[1.0, 2.0], [3.0, 4.0]]}\n'
+    path.write_text(line + '{"tokens": ["c"], "vectors": [[5.0, 6.0]]}\n' + line)
+    emb = EmbeddingFile(str(path), 2)
+    np.testing.assert_array_equal(emb.lookup(["a", "b"]), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_embedding_file_rejects_a_sentence_repeated_with_other_vectors(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(
+        '{"tokens": ["a", "b"], "vectors": [[1.0, 2.0], [3.0, 4.0]]}\n'
+        '{"tokens": ["c"], "vectors": [[5.0, 6.0]]}\n'
+        '{"tokens": ["a", "b"], "vectors": [[1.0, 2.0], [3.0, 4.5]]}\n'
+    )
+    with pytest.raises(InputError, match=r"line 3: .* other vectors at line 1$"):
+        EmbeddingFile(str(path), 2)
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

@@ -287,8 +287,8 @@ def test_file_encoder_through_training(task, tmp_path):
     sentences = [tokens for tokens, _ in task.target_train.sentences[:4]]
     ids = model.token_ids(sentences)
     np.testing.assert_array_equal(
-        model.encode(sentences, ids).data,
-        np.concatenate([model.encode([tokens], model.token_ids([tokens])).data
+        model.encode(sentences, ids, fu.segments([len(s) for s in sentences])).data,
+        np.concatenate([model.encode([tokens], model.token_ids([tokens]), fu.segments([len(tokens)])).data
                         for tokens in sentences]),
     )
     stacked = np.concatenate([model.tag_logits_array(tokens) for tokens in sentences])
