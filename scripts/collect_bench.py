@@ -12,8 +12,14 @@ and ``failed`` check counts, and the machine: ``nproc``, numpy, python, the
 checkout's ``git rev-parse HEAD`` and whether its tree had uncommitted
 changes. Bad input exits with status 2 and one stderr line, before any run.
 
+``--compare A.json B.json`` reads two records and starts no run: per
+workload and end-to-end metric it prints both medians and the relative
+change from A to B, marking each change larger than that metric's bound in
+the ``--root`` checkout's BENCHMARK.json as ``better`` or ``WORSE``.
+
     PYTHONPATH=src python3 scripts/collect_bench.py --root ../parent --out BENCH_0.json
     PYTHONPATH=src python3 scripts/collect_bench.py
+    PYTHONPATH=src python3 scripts/collect_bench.py --compare BENCH_3.json BENCH_4.json
 """
 
 import argparse
@@ -38,19 +44,22 @@ def next_record(root: Path) -> Path:
     return root / f"BENCH_{n}.json"
 
 
+def read_json(path, what: str, read):
+    """``read(the JSON object at path)``; InputError if the file is not JSON or ``read`` fails."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return read(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise InputError(f"{fh.name} is not {what} ({type(exc).__name__}: {exc})") from None
+
+
 def check_args(args):
     """(checkout root, workload names, run seconds, output path), or InputError."""
     root = Path(args.root).resolve()
     if not (root / "perfbench" / "run.py").is_file():
         raise InputError(f"no perfbench/run.py under {root}")
-    with open(root / "BENCHMARK.json", encoding="utf-8") as fh:
-        try:
-            benchmark = json.load(fh)
-            workloads = [w["name"] for w in benchmark["workloads"]]
-            seconds = benchmark["run_seconds"]
-        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-            raise InputError(f"{fh.name} is not a benchmark declaration "
-                             f"({type(exc).__name__}: {exc})") from None
+    workloads, seconds = read_json(root / "BENCHMARK.json", "a benchmark declaration", lambda b: (
+        [w["name"] for w in b["workloads"]], b["run_seconds"]))
     out = Path(args.out) if args.out else next_record(REPO)
     if out.exists():
         raise InputError(f"{out} exists; a record is never overwritten")
@@ -82,11 +91,46 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def compare(args) -> list[str]:
+    """The ``--compare`` table of two records, or InputError before any line."""
+    if args.out:
+        raise InputError("--compare starts no run and writes no record; drop --out")
+    metrics = read_json(Path(args.root) / "BENCHMARK.json", "a benchmark declaration", lambda b: {
+        m["name"]: (m["bound"], {"lower": 1, "higher": -1}[m["better"]]) for m in b["end_to_end"]})
+
+    def medians(record):
+        return {(w, m): entry["end_to_end"][m]["median"]
+                for w, entry in record["workloads"].items() for m in metrics}
+
+    a, b = (read_json(path, "a benchmark record", medians) for path in args.compare)
+    if a.keys() != b.keys():
+        raise InputError(f"the records hold other workloads: {sorted({w for w, _ in a})} "
+                         f"and {sorted({w for w, _ in b})}")
+    lines = [f"{'workload':<16}{'metric':<14}{'A median':>12}{'B median':>12}{'change':>9}"]
+    for (workload, metric), before in a.items():
+        after = b[workload, metric]
+        change = (after - before) / before if before else float("nan")
+        bound, sign = metrics[metric]
+        mark = ""
+        if abs(change) > bound:
+            mark = f"  beyond {bound:.0%}: {'WORSE' if sign * change > 0 else 'better'}"
+        lines.append(f"{workload:<16}{metric:<14}{before:>12.5g}{after:>12.5g}{change:>+9.1%}{mark}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", default=str(REPO), help="checkout to benchmark (default: this one)")
+    parser.add_argument("--root", default=str(REPO),
+                        help="checkout to benchmark, or whose bounds --compare uses (default: this one)")
     parser.add_argument("--out", help="record path (default: the next free BENCH_<n>.json here)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="print the change of each end-to-end median from record A to record B")
     args = parser.parse_args(argv)
+    if args.compare:
+        with one_line_errors("collect_bench"):
+            lines = compare(args)
+        print("\n".join(lines))
+        return
     with one_line_errors("collect_bench"):
         root, workloads, seconds, out = check_args(args)
     record = {"machine": machine(root), "seeds": SEEDS, "seconds": seconds, "workloads": {}}

@@ -99,10 +99,7 @@ def check_args(args) -> dict:
     for seed in range(args.seeds if args.against else 0):
         for name in ("f0", *VARIANTS):
             path = checkpoint(args.against, seed, name)
-            try:
-                model = Model.load(str(path))
-            except InputError as exc:
-                raise InputError(f"{path}: {exc}") from None
+            model = Model.load(str(path))
             this_tree = ModelParams(d_h=config.d_h, d_p=config.d_p, n_types=model.params.n_types,
                                     n_tags=model.params.n_tags, encoder_mode=config.encoder_mode)
             shapes = this_tree.block_shapes(len(model.vocab), fused=model.kind == "fused")

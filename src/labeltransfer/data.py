@@ -55,24 +55,12 @@ class TaggedCorpus:
         return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def _repair_tags(tags: list[str]) -> tuple[list[str], int]:
-    """Lenient BIO: an I-X not continuing an X run becomes B-X."""
-    repaired = 0
-    prev_type = None
-    out = []
-    for tag in tags:
-        if tag.startswith("I-"):
-            t = tag[2:]
-            if prev_type != t:
-                tag = "B-" + t
-                repaired += 1
-        out.append(tag)
-        prev_type = entity_type(tag)
-    return out, repaired
-
-
 def parse_conll(text: str | bytes) -> TaggedCorpus:
-    """One token+tag per line, whitespace separated, blank line between sentences."""
+    """One token+tag per line, whitespace separated, blank line between sentences.
+
+    Lenient BIO: an I-X that does not continue an X run becomes B-X, and
+    ``repairs`` counts those tags. Each distinct tag is checked once.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -80,32 +68,37 @@ def parse_conll(text: str | bytes) -> TaggedCorpus:
             raise ParseError(f"corpus is not UTF-8: {exc}") from exc
     sentences = []
     repairs = 0
-    cur_tokens: list[str] = []
-    cur_tags: list[str] = []
-
-    def flush():
-        nonlocal repairs
-        if cur_tokens:
-            fixed, n = _repair_tags(cur_tags)
-            repairs += n
-            sentences.append((tuple(cur_tokens), tuple(fixed)))
-            cur_tokens.clear()
-            cur_tags.clear()
-
+    tokens: list[str] = []
+    tags: list[str] = []
+    prev_type = None
+    # tag -> (entity type, its B- tag if the tag is an I- tag, else None)
+    kinds: dict[str, tuple[str | None, str | None]] = {"O": (None, None)}
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            flush()
-            continue
         fields = line.split()
+        if not fields:
+            if tokens:
+                sentences.append((tuple(tokens), tuple(tags)))
+                tokens, tags = [], []
+            prev_type = None
+            continue
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected 'token tag', got {line!r}")
         token, tag = fields
-        # a B-/I- tag needs a non-empty type
-        if tag != "O" and (len(tag) == 2 or not (tag.startswith("B-") or tag.startswith("I-"))):
-            raise ParseError(f"line {lineno}: malformed tag {tag!r}")
-        cur_tokens.append(token)
-        cur_tags.append(tag)
-    flush()
+        kind = kinds.get(tag)
+        if kind is None:
+            # a B-/I- tag needs a non-empty type
+            if len(tag) == 2 or not tag.startswith(("B-", "I-")):
+                raise ParseError(f"line {lineno}: malformed tag {tag!r}")
+            kind = kinds[tag] = (tag[2:], "B-" + tag[2:] if tag[0] == "I" else None)
+        etype, begin = kind
+        if begin is not None and prev_type != etype:
+            tag = begin
+            repairs += 1
+        prev_type = etype
+        tokens.append(token)
+        tags.append(tag)
+    if tokens:
+        sentences.append((tuple(tokens), tuple(tags)))
     return TaggedCorpus(tuple(sentences), repairs=repairs)
 
 
@@ -138,6 +131,48 @@ def micro_f1(gold: list[EntitySpan], pred: list[EntitySpan]) -> tuple[float, flo
     tp = len(gold_set & pred_set)
     precision = tp / len(pred_set) if pred_set else 0.0
     recall = tp / len(gold_set) if gold_set else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1
+
+
+def _span_breaks(ids: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Sorted positions at which an open span ends, then ``len(ids)``.
+
+    An open span of type k runs on through an I of type k whose predecessor
+    in the sentence is a B or I of type k; any other position ends it. So the
+    span a B opens ends at the first break after it: `extract_spans`'s rule,
+    under which an I that does not continue its type opens no span.
+    """
+    types = (ids - 1) // 2  # O is -1
+    continues = (ids > 0) & (ids % 2 == 0) & ~first
+    continues[1:] &= types[1:] == types[:-1]
+    return np.append(np.flatnonzero(~continues), len(ids))
+
+
+def micro_f1_ids(gold: np.ndarray, pred: np.ndarray, lengths) -> tuple[float, float, float]:
+    """`micro_f1` of the `extract_spans` of two taggings of one corpus, given as tag ids.
+
+    ``gold`` and ``pred`` hold the concatenated sentences' tag ids in the
+    order of `pipeline.tags_for` (O = 0, B of type k = 2k + 1, I of type
+    k = 2k + 2); ``lengths`` are the sentences' token counts. Spans match
+    when they start at the same B, of the same type, and end at the same
+    token; the float expressions are `micro_f1`'s, so the values are equal.
+    """
+    gold, pred, lengths = np.asarray(gold), np.asarray(pred), np.asarray(lengths, dtype=np.intp)
+    if gold.shape != pred.shape or gold.shape != (lengths.sum(),):
+        raise InputError(f"tag id arrays of shapes {gold.shape} and {pred.shape} "
+                         f"do not hold {lengths.sum()} tokens")
+    starts = np.cumsum(lengths) - lengths
+    first = np.zeros(len(gold), dtype=bool)
+    first[starts[starts < len(gold)]] = True
+    gold_breaks, pred_breaks = _span_breaks(gold, first), _span_breaks(pred, first)
+    gold_b = gold % 2 == 1
+    both = np.flatnonzero(gold_b & (gold == pred))  # the same B in both
+    tp = int(np.count_nonzero(gold_breaks[np.searchsorted(gold_breaks, both, side="right")]
+                              == pred_breaks[np.searchsorted(pred_breaks, both, side="right")]))
+    n_gold, n_pred = int(np.count_nonzero(gold_b)), int(np.count_nonzero(pred % 2 == 1))
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_gold if n_gold else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
 

@@ -24,7 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from . import fusion as fu
 from .autodiff import Tensor
-from .data import TaggedCorpus, entity_type, extract_spans, micro_f1
+from .data import TaggedCorpus, entity_type, micro_f1_ids
+from .data import extract_spans  # noqa: F401  perfbench times `data.spans_ms` by wrapping this name
 from .errors import InputError, NumericError, check_field_types, check_lower_bounds, from_json
 from .gw import gromov_wasserstein_distances, gw_fixed_plan_loss
 from .labelgraph import LabelGraph, build_graph, estimate_conditionals, target_graph_from_batch
@@ -309,8 +310,13 @@ class Model:
 
     @classmethod
     def load(cls, path: str) -> "Model":
+        """`load_bytes` of the file at ``path``; its InputError names the path."""
         with open(path, "rb") as fh:
-            return cls.load_bytes(fh.read())
+            raw = fh.read()
+        try:
+            return cls.load_bytes(raw)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
 # the global gradient norm an SGD step clips to
@@ -539,16 +545,22 @@ def finetune(f0: Model, corpus_t: TaggedCorpus, config: TrainConfig):
 def evaluate(model: Model, corpus: TaggedCorpus):
     """Micro P/R/F1 of greedy per-token decoding against gold spans.
 
-    The corpus is tagged in consecutive chunks of at most `EVAL_CHUNK`
-    sentences, each one no-grad forward (`Model.tag_sentences`) whose logits
-    are split back per sentence by token count.
+    Scores on tag ids (`data.micro_f1_ids`): the gold tags map to the
+    model's tag ids, and the predictions are the argmax of each chunk of at
+    most `EVAL_CHUNK` sentences, one no-grad forward each (`Model.forward_chunks`).
     """
-    unknown = set(corpus.label_set) - set(model.labels)
-    if unknown:
-        raise InputError(f"corpus labels not in model label set: {sorted(unknown)}")
+    index = {tag: i for i, tag in enumerate(model.tags)}
+    try:
+        gold = np.fromiter((index[t] for _, tags in corpus.sentences for t in tags), dtype=np.intp)
+    except KeyError as exc:
+        unknown = sorted(set(corpus.label_set) - set(model.labels))
+        if unknown:
+            raise InputError(f"corpus labels not in model label set: {unknown}") from None
+        raise InputError(f"corpus tag {exc.args[0]!r} is not a BIO tag") from None
     sentences = [tokens for tokens, _ in corpus.sentences]
-    predicted = TaggedCorpus(tuple(zip(sentences, map(tuple, model.tag_sentences(sentences)))))
-    return micro_f1(extract_spans(corpus), extract_spans(predicted))
+    pred = np.concatenate([gold[:0], *(logits.data.argmax(axis=1)
+                                       for _, logits in model.forward_chunks(sentences))])
+    return micro_f1_ids(gold, pred, [len(tokens) for tokens in sentences])
 
 
 def aggregate(values) -> dict:

@@ -180,11 +180,12 @@ def test_ablation_flags_reach_config(workdir, capsys):
     assert model.config.ablate_gw and model.config.ablate_aux
 
 
-def _assert_one_line_error(capsys, exc_info):
+def _assert_one_line_error(capsys, exc_info) -> str:
     assert exc_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("labeltransfer: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 def test_evaluate_truncated_checkpoint_exits_2(workdir, capsys):
@@ -196,7 +197,20 @@ def test_evaluate_truncated_checkpoint_exits_2(workdir, capsys):
             "--model", str(workdir / "truncated.ckpt"),
             "--test", str(workdir / "data" / "target_test.conll"),
         ])
-    _assert_one_line_error(capsys, exc_info)
+    err = _assert_one_line_error(capsys, exc_info)
+    assert err.startswith(f"labeltransfer: error: {workdir / 'truncated.ckpt'}: ")
+
+
+def test_evaluate_seeds_names_the_truncated_checkpoint(workdir, capsys):
+    raw = (workdir / "fused.ckpt").read_bytes()
+    (workdir / "trunc0.ckpt").write_bytes(raw)
+    (workdir / "trunc1.ckpt").write_bytes(raw[:-5])
+    with pytest.raises(SystemExit) as exc_info:
+        main(["evaluate", "--model", str(workdir / "trunc{seed}.ckpt"),
+              "--test", str(workdir / "data" / "target_test.conll"), "--seeds", "2"])
+    err = _assert_one_line_error(capsys, exc_info)
+    assert err.startswith(f"labeltransfer: error: {workdir / 'trunc1.ckpt'}: ")
+    assert "cut short" in err
 
 
 def test_non_integer_seed_env_exits_2(workdir, capsys, monkeypatch):
@@ -427,6 +441,12 @@ def test_run_sweep_script_runs_the_transfer_task(monkeypatch):
     assert seen["config"] == pipeline.TrainConfig(seed=0, **dict(synth.TRANSFER_CONFIG, epochs=3))
 
 
+# a benchmark record of one workload whose every end-to-end median is 1
+END_TO_END = [m["name"] for m in json.loads(
+    (Path(__file__).parents[1] / "BENCHMARK.json").read_text())["end_to_end"]]
+RECORD = json.dumps({"workloads": {"tag": {"end_to_end": {m: {"median": 1.0} for m in END_TO_END}}}})
+
+
 @pytest.mark.parametrize(
     "script, argv, files",
     [
@@ -448,6 +468,17 @@ def test_run_sweep_script_runs_the_transfer_task(monkeypatch):
         ("collect_bench", ["--root", "{tmp}"], {"perfbench/run.py": "", "BENCHMARK.json": "{"}),
         ("collect_bench", ["--root", "{tmp}"],
          {"perfbench/run.py": "", "BENCHMARK.json": '{"run_seconds": 15}'}),
+        ("collect_bench", ["--compare", "{tmp}/A.json", "{tmp}/B.json"], {"A.json": RECORD}),
+        ("collect_bench", ["--compare", "{tmp}/A.json", "{tmp}/B.json"],
+         {"A.json": RECORD, "B.json": "{"}),
+        ("collect_bench", ["--compare", "{tmp}/A.json", "{tmp}/B.json"],
+         {"A.json": RECORD, "B.json": '{"workloads": {"tag": {}}}'}),
+        ("collect_bench", ["--compare", "{tmp}/A.json", "{tmp}/B.json"],
+         {"A.json": RECORD, "B.json": '{"workloads": {}}'}),
+        ("collect_bench", ["--compare", "{tmp}/A.json", "{tmp}/B.json", "--out", "{tmp}/C.json"],
+         {"A.json": RECORD, "B.json": RECORD}),
+        ("collect_bench", ["--root", "{tmp}", "--compare", "{tmp}/A.json", "{tmp}/A.json"],
+         {"A.json": RECORD, "BENCHMARK.json": '{"end_to_end": [{"name": "run_s"}]}'}),
     ],
     ids=["run_ablation_zero_k", "run_ablation_zero_seeds", "run_ablation_json_out_in_missing_dir",
          "run_ablation_save_in_missing_dir", "run_ablation_save_is_a_file",
@@ -456,7 +487,10 @@ def test_run_sweep_script_runs_the_transfer_task(monkeypatch):
          "gw_bench_zero_problems", "gw_bench_zero_repeats",
          "run_sweep_zero_k", "run_sweep_negative_epochs", "collect_bench_out_in_missing_dir",
          "collect_bench_no_perfbench", "collect_bench_benchmark_not_json",
-         "collect_bench_benchmark_without_workloads"],
+         "collect_bench_benchmark_without_workloads", "collect_bench_compare_missing_record",
+         "collect_bench_compare_record_not_json", "collect_bench_compare_record_without_medians",
+         "collect_bench_compare_other_workloads", "collect_bench_compare_with_out",
+         "collect_bench_compare_benchmark_without_bounds"],
 )
 def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, tmp_path, script, argv, files):
     def no_work(*args, **kwargs):
@@ -479,6 +513,28 @@ def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"{script}: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_collect_bench_compare_marks_changes_beyond_the_bound(capsys, monkeypatch, tmp_path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("--compare started a benchmark run")
+
+    after = json.loads(RECORD)
+    medians = after["workloads"]["tag"]["end_to_end"]
+    medians["run_s"]["median"] = 0.7  # 30 % faster, beyond the 25 % bound
+    medians["peak_rss_mb"]["median"] = 1.05  # 5 % more, within the 10 % bound
+    medians["tokens_per_s"]["median"] = 0.7  # 30 % slower
+    (tmp_path / "A.json").write_text(RECORD)
+    (tmp_path / "B.json").write_text(json.dumps(after))
+    monkeypatch.setattr(subprocess, "run", no_run)
+    namespace = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "collect_bench.py"))
+    namespace["main"](["--compare", str(tmp_path / "A.json"), str(tmp_path / "B.json")])
+    rows = {tuple(line.split()[:2]): line for line in capsys.readouterr().out.splitlines()[1:]}
+    assert sorted(rows) == sorted(("tag", m) for m in END_TO_END)
+    assert rows["tag", "run_s"].endswith("-30.0%  beyond 25%: better")
+    assert rows["tag", "tokens_per_s"].endswith("-30.0%  beyond 25%: WORSE")
+    assert rows["tag", "peak_rss_mb"].endswith("+5.0%")
+    assert rows["tag", "f1"].endswith("+0.0%")
 
 
 # the transfer task of `_run_ablation`, with small corpora

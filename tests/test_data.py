@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labeltransfer.data import (
@@ -15,8 +15,10 @@ from labeltransfer.data import (
     extract_spans,
     greedy_sample,
     micro_f1,
+    micro_f1_ids,
     parse_conll,
 )
+from labeltransfer.pipeline import tags_for
 
 # -- parsing -------------------------------------------------------------------
 
@@ -56,6 +58,85 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(ParseError) as exc:
             parse_conll(f"a O\nb {empty_type}\n")
         assert "line 2" in str(exc.value)
+
+
+def _reference_repair_tags(tags):
+    repaired = 0
+    prev_type = None
+    out = []
+    for tag in tags:
+        if tag.startswith("I-"):
+            t = tag[2:]
+            if prev_type != t:
+                tag = "B-" + t
+                repaired += 1
+        out.append(tag)
+        prev_type = entity_type(tag)
+    return out, repaired
+
+
+def reference_parse_conll(text):
+    """The parser before it checked each distinct tag once: a reference, not a fixture."""
+    sentences = []
+    repairs = 0
+    cur_tokens, cur_tags = [], []
+
+    def flush():
+        nonlocal repairs
+        if cur_tokens:
+            fixed, n = _reference_repair_tags(cur_tags)
+            repairs += n
+            sentences.append((tuple(cur_tokens), tuple(fixed)))
+            cur_tokens.clear()
+            cur_tags.clear()
+
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            flush()
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ParseError(f"line {lineno}: expected 'token tag', got {line!r}")
+        token, tag = fields
+        if tag != "O" and (len(tag) == 2 or not (tag.startswith("B-") or tag.startswith("I-"))):
+            raise ParseError(f"line {lineno}: malformed tag {tag!r}")
+        cur_tokens.append(token)
+        cur_tags.append(tag)
+    flush()
+    return TaggedCorpus(tuple(sentences), repairs=repairs)
+
+
+# token lines of any BIO sequence, well formed or not, and blank lines of any whitespace
+CONLL_LINES = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["w", "x", "héllo"]),
+              st.sampled_from(["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-X", "B-X"]),
+              st.sampled_from([" ", "\t", "  "])).map(lambda f: f"{f[0]}{f[2]}{f[1]}"),
+    st.sampled_from(["", " ", "\t"]),
+), max_size=30)
+MALFORMED_LINES = ["a b c", "a B-", "a I-", "a X-Y", "a b-PER", "lonely"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONLL_LINES, st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_parse_conll_equals_the_reference_parser(lines, newline, final_newline):
+    text = newline.join(lines) + (newline if final_newline else "")
+    expected = reference_parse_conll(text)
+    corpus = parse_conll(text)
+    assert corpus.sentences == expected.sentences and corpus.repairs == expected.repairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONLL_LINES, st.sampled_from(["\n", "\r\n"]), st.sampled_from(MALFORMED_LINES),
+       st.integers(0, 30))
+def test_parse_conll_malformed_line_error_equals_the_reference(lines, newline, bad, at):
+    at = min(at, len(lines))
+    text = newline.join(lines[:at] + [bad] + lines[at:]) + newline
+    with pytest.raises(ParseError) as expected:
+        reference_parse_conll(text)
+    with pytest.raises(ParseError) as raised:
+        parse_conll(text)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith(f"line {at + 1}: ")
 
 
 def test_parse_empty_text_gives_empty_corpus():
@@ -172,6 +253,61 @@ def test_micro_f1_matches_brute_force(seed):
     gold = extract_spans(random_corpus(seed))
     pred = extract_spans(random_corpus(seed + 1))
     assert micro_f1(gold, pred) == pytest.approx(brute_force_f1(gold, pred))
+
+
+@st.composite
+def tag_id_corpora(draw):
+    """(labels, sentence lengths, gold ids, predicted ids) of random BIO taggings.
+
+    Ids are drawn freely, so orphan I's, type switches and I's at a sentence
+    start all occur; the prediction is the gold with a few tokens changed, or
+    independent of it.
+    """
+    labels = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    tag = st.integers(0, 2 * len(labels))
+    lengths = draw(st.lists(st.integers(1, 6), max_size=6))
+    n = sum(lengths)
+    gold = draw(st.lists(tag, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        pred = draw(st.lists(tag, min_size=n, max_size=n))
+    else:
+        pred = list(gold)
+        for k, t in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), tag), max_size=3)):
+            if n:
+                pred[k] = t
+    return labels, lengths, gold, pred
+
+
+def _as_corpus(tags, lengths, ids):
+    sentences, start = [], 0
+    for n in lengths:
+        sentences.append((("w",) * n, tuple(tags[i] for i in ids[start : start + n])))
+        start += n
+    return TaggedCorpus(tuple(sentences))
+
+
+@settings(max_examples=300, deadline=None)
+@example((["A"], [], [], []))  # empty corpus
+@example((["A", "B"], [3, 1], [0, 0, 0, 0], [0, 0, 0, 0]))  # no entities
+@example((["A", "B"], [3, 1], [0, 0, 0, 0], [1, 2, 0, 3]))  # no gold entities
+@example((["A"], [3], [2, 2, 0], [1, 2, 0]))  # orphan I's in the gold
+@example((["A"], [2, 2], [1, 2, 2, 2], [1, 2, 1, 2]))  # an I at a sentence start
+@example((["A", "B"], [3, 1, 1], [1, 4, 4, 1, 2], [1, 2, 4, 1, 1]))  # type switch, one-token sentences
+@given(tag_id_corpora())
+def test_micro_f1_ids_equals_micro_f1_of_string_spans(case):
+    labels, lengths, gold, pred = case
+    tags = tags_for(labels)
+    expected = micro_f1(extract_spans(_as_corpus(tags, lengths, gold)),
+                        extract_spans(_as_corpus(tags, lengths, pred)))
+    assert micro_f1_ids(np.array(gold, dtype=np.intp), np.array(pred, dtype=np.intp),
+                        lengths) == expected
+
+
+def test_micro_f1_ids_rejects_arrays_of_other_lengths():
+    with pytest.raises(InputError):
+        micro_f1_ids(np.zeros(3, dtype=np.intp), np.zeros(2, dtype=np.intp), [3])
+    with pytest.raises(InputError):
+        micro_f1_ids(np.zeros(3, dtype=np.intp), np.zeros(3, dtype=np.intp), [2])
 
 
 # -- sampler ---------------------------------------------------------------------------

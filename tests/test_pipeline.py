@@ -16,7 +16,7 @@ from conftest import make_model
 from labeltransfer import fusion as fu
 from labeltransfer import pipeline
 from labeltransfer.autodiff import Tensor
-from labeltransfer.data import InputError, parse_conll
+from labeltransfer.data import InputError, TaggedCorpus, extract_spans, micro_f1, parse_conll
 from labeltransfer.errors import LabelTransferError, NumericError, ShapeError
 from labeltransfer.labelgraph import build_graph
 from labeltransfer.pipeline import (
@@ -391,8 +391,31 @@ def test_evaluate_self_consistency(task, f0):
 
 
 def test_evaluate_rejects_foreign_labels(task, f0):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"corpus labels not in model label set: \['NOPE'\]"):
         evaluate(f0, parse_conll("a B-NOPE\n"))
+    with pytest.raises(InputError, match=r"corpus labels not in model label set: \['NOPE'\]"):
+        evaluate(f0, parse_conll("a B-L1\nb O\n\nc I-NOPE\n"))
+    with pytest.raises(InputError, match="corpus tag 'X-L1' is not a BIO tag"):
+        evaluate(f0, TaggedCorpus(((("a", "b"), ("B-L1", "X-L1")),)))
+
+
+def _string_evaluate(model: Model, corpus: TaggedCorpus):
+    """`evaluate` as the composition of the string-tag scorer."""
+    sentences = [tokens for tokens, _ in corpus.sentences]
+    predicted = TaggedCorpus(tuple(zip(sentences, map(tuple, model.tag_sentences(sentences)))))
+    return micro_f1(extract_spans(corpus), extract_spans(predicted))
+
+
+def test_evaluate_equals_the_string_scorer(task, f0):
+    fused, _ = finetune(f0, task.target_train, TrainConfig(d_h=16, d_p=8, epochs=2, seed=0))
+    cases = [(f0, task.source_test), (fused, task.target_test), (fused, task.target_train)]
+    for model, corpus in cases:
+        assert evaluate(model, corpus) == _string_evaluate(model, corpus)
+    assert 0.0 < evaluate(fused, task.target_test)[2] < 1.0  # some spans right, some wrong
+    no_entities = TaggedCorpus(tuple((tokens, ("O",) * len(tokens))
+                                     for tokens, _ in task.target_test.sentences))
+    assert evaluate(fused, no_entities) == _string_evaluate(fused, no_entities) == (0.0, 0.0, 0.0)
+    assert evaluate(fused, TaggedCorpus(())) == (0.0, 0.0, 0.0)
 
 
 # -- checkpoint I/O ----------------------------------------------------------------------------
