@@ -2,8 +2,9 @@
 """Time one per-batch GW solve: ms per `gromov_wasserstein_distances` call.
 
 Solves random n x n problems (distances between points drawn in R^3) with
-the transfer experiment's solver settings (epsilon, outer and inner caps, no
-annealing), at n = 4, 8 and 12, the label counts of fine-tuning batches.
+the solver arguments fine-tuning passes for each batch of the transfer
+experiment (`pipeline.batch_gw_solver`), at n = 4, 8 and 12, the label
+counts of fine-tuning batches.
 Prints one JSON line per n with the median ms per call over --repeats
 passes of --problems problems, plus the machine (`labeltransfer.cli.machine`).
 Bad input exits with status 2 and one stderr line.
@@ -28,7 +29,7 @@ import numpy as np
 from labeltransfer.cli import machine, one_line_errors
 from labeltransfer.errors import InputError
 from labeltransfer.gw import gromov_wasserstein_distances
-from labeltransfer.pipeline import TrainConfig
+from labeltransfer.pipeline import TrainConfig, batch_gw_solver
 from labeltransfer.synth import TRANSFER_CONFIG
 
 
@@ -47,10 +48,7 @@ def main(argv=None):
             if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
     host = machine(Path(__file__).resolve().parents[1])
-    cfg = TrainConfig(**TRANSFER_CONFIG)
-    # the arguments fine-tuning passes for each batch
-    solver = dict(epsilon=cfg.epsilon, outer_iter=cfg.outer_iter, inner_iter=cfg.inner_iter,
-                  tol=cfg.gw_tol, anneal=False)
+    solver = batch_gw_solver(TrainConfig(**TRANSFER_CONFIG))
     for n in (4, 8, 12):
         rng = np.random.default_rng(n)
         problems = [(distance_matrix(rng, n), distance_matrix(rng, n)) for _ in range(args.problems)]

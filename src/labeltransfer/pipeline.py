@@ -441,6 +441,12 @@ def _batch_loss(model: Model, batch: list[_SentenceTargets], config: TrainConfig
     return _BatchLoss(loss, cls_loss, aux_val, gw_val, gw_skipped, gw_unconverged)
 
 
+def batch_gw_solver(config: TrainConfig) -> dict:
+    """The solver arguments of fine-tuning's per-batch `gromov_wasserstein_distances` call."""
+    return dict(epsilon=config.epsilon, outer_iter=config.outer_iter, inner_iter=config.inner_iter,
+                tol=config.gw_tol, anneal=False)  # per-step loss: speed over plan sharpness
+
+
 def _batch_gw_term(ds_full, type_logits, gold_types, config):
     """(envelope GW loss, solve converged) for one batch, or None (skip) when degenerate."""
     tgb = target_graph_from_batch(type_logits, gold_types, config.temperature)
@@ -450,15 +456,7 @@ def _batch_gw_term(ds_full, type_logits, gold_types, config):
     if gs_sub.degenerate:
         return None
     d_s = gs_sub.distance_matrix()
-    result = gromov_wasserstein_distances(
-        d_s,
-        tgb.distances.data,
-        epsilon=config.epsilon,
-        outer_iter=config.outer_iter,
-        inner_iter=config.inner_iter,
-        tol=config.gw_tol,
-        anneal=False,  # per-step loss: speed over plan sharpness
-    )
+    result = gromov_wasserstein_distances(d_s, tgb.distances.data, **batch_gw_solver(config))
     return gw_fixed_plan_loss(tgb.distances, d_s, result.plan.matrix), result.converged
 
 
@@ -580,21 +578,30 @@ SWEEP_PARAMS = {
 }
 
 
-def sweep(param: str, values, f0: Model, train_corpus: TaggedCorpus,
-          test_corpus: TaggedCorpus, base: TrainConfig, seeds=None) -> str:
-    """Run finetune+evaluate per value; CSV rows (value, mean_f1, std_f1)."""
+def sweep_configs(param: str, values, base: TrainConfig) -> list[TrainConfig]:
+    """``base`` with the `SWEEP_PARAMS` field ``param`` set to each value; InputError on a bad one."""
     if param not in SWEEP_PARAMS:
         raise InputError(f"unknown sweep parameter {param!r}; use one of {sorted(SWEEP_PARAMS)}")
     if not values:
         raise InputError("sweep values must be nonempty")
+    return [replace(base, **{SWEEP_PARAMS[param]: value}) for value in values]
+
+
+def sweep(param: str, values, f0: Model, train_corpus: TaggedCorpus,
+          test_corpus: TaggedCorpus, base: TrainConfig, seeds=None) -> str:
+    """Run finetune+evaluate per value; CSV rows (value, mean_f1, std_f1).
+
+    Every value's config is built, and so checked, before the first fine-tune.
+    """
+    configs = sweep_configs(param, values, base)
     seeds = list(seeds) if seeds is not None else [base.seed]
     if not seeds:
         raise InputError("sweep seeds must be nonempty")
     lines = ["value,mean_f1,std_f1"]
-    for value in values:
+    for value, value_config in zip(values, configs):
         f1s = []
         for seed in seeds:
-            config = replace(base, seed=seed, **{SWEEP_PARAMS[param]: value})
+            config = replace(value_config, seed=seed)
             model, _ = finetune(f0, train_corpus, config)
             _, _, f1 = evaluate(model, test_corpus)
             f1s.append(f1)

@@ -104,7 +104,7 @@ class SynthSpec:
 
 
 def _is_weight(w) -> bool:
-    return isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0
+    return isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w) and w >= 0
 
 
 @dataclass(frozen=True)

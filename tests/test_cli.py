@@ -7,7 +7,6 @@ import json
 import runpy
 import shutil
 import subprocess
-import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -372,10 +371,10 @@ def test_malformed_synth_spec_exits_2(tmp_path, capsys, spec):
     assert not (tmp_path / "out").exists()
 
 
-def _sweep_args(workdir, *extra):
+def _sweep_args(workdir, *extra, param="lambda2"):
     return [
         "sweep",
-        "--param", "lambda2",
+        "--param", param,
         "--source-model", str(workdir / "f0.ckpt"),
         "--train", str(workdir / "fewshot.conll"),
         "--test", str(workdir / "data" / "target_test.conll"),
@@ -404,41 +403,15 @@ def test_sweep_non_numeric_values_exit_2(workdir, capsys, values):
     _assert_one_line_error(capsys, exc_info)
 
 
-@pytest.mark.parametrize("extra", [["--values", "1,x"], ["--values", "1", "--seeds", "0"]],
-                         ids=["non_numeric_values", "zero_seeds"])
-def test_run_sweep_script_bad_input_exits_2(capsys, extra):
-    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_sweep.py"))
+@pytest.mark.parametrize("values", ["2,0", "2,nan"])
+def test_sweep_out_of_range_value_exits_2_before_finetuning(workdir, capsys, monkeypatch, values):
+    def no_finetune(*args, **kwargs):
+        raise AssertionError("fine-tuning started before every value was checked")
+
+    monkeypatch.setattr(pipeline, "finetune", no_finetune)
     with pytest.raises(SystemExit) as exc_info:
-        script["main"](["--param", "T", *extra])
-    assert exc_info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("run_sweep: error: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
-
-
-def test_run_sweep_script_runs_the_transfer_task(monkeypatch):
-    seen = {}
-
-    class Stop(Exception):
-        pass
-
-    def generate(spec):
-        seen["spec"] = spec
-        return types.SimpleNamespace(source_train=None)
-
-    def train_source(corpus, config):
-        seen["config"] = config
-        raise Stop
-
-    # the script binds these names when it loads
-    monkeypatch.setattr(synth, "generate", generate)
-    monkeypatch.setattr(pipeline, "train_source", train_source)
-    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_sweep.py"))
-    with pytest.raises(Stop):
-        script["main"](["--param", "T", "--values", "1", "--epochs", "3"])
-    assert seen["spec"] == synth.SynthSpec(seed=0, target_mixtures=synth.TRANSFER_MIX,
-                                           **synth.TRANSFER_SPEC)
-    assert seen["config"] == pipeline.TrainConfig(seed=0, **dict(synth.TRANSFER_CONFIG, epochs=3))
+        main(_sweep_args(workdir, "--values", values, param="T"))
+    _assert_one_line_error(capsys, exc_info)
 
 
 # a benchmark record of one workload whose every end-to-end median is 1
@@ -459,10 +432,14 @@ RECORD = json.dumps({"workloads": {"tag": {"end_to_end": {m: {"median": 1.0} for
         ("run_ablation", ["--seeds", "1", "--against", "no_such_dir"], {}),
         ("run_ablation", ["--seeds", "1", "--against", "{tmp}"], {}),
         ("run_ablation", ["--seeds", "1", "--against", "{tmp}"], {"0-f0.ckpt": "LTCK"}),
+        ("run_ablation", ["--param", "nonsense", "--values", "1"], {}),
+        ("run_ablation", ["--param", "T"], {}),
+        ("run_ablation", ["--values", "1"], {}),
+        ("run_ablation", ["--param", "T", "--values", "1,x"], {}),
+        ("run_ablation", ["--param", "T", "--values", "2,0"], {}),
+        ("run_ablation", ["--param", "T", "--values", "2,nan"], {}),
         ("gw_bench", ["--problems", "0"], {}),
         ("gw_bench", ["--repeats", "0"], {}),
-        ("run_sweep", ["--param", "T", "--values", "1", "--k", "0"], {}),
-        ("run_sweep", ["--param", "T", "--values", "1", "--epochs", "-1"], {}),
         ("collect_bench", ["--out", "no_such_dir/BENCH_0.json"], {}),
         ("collect_bench", ["--root", str(Path(__file__).parent)], {}),
         ("collect_bench", ["--root", "{tmp}"], {"perfbench/run.py": "", "BENCHMARK.json": "{"}),
@@ -484,8 +461,11 @@ RECORD = json.dumps({"workloads": {"tag": {"end_to_end": {m: {"median": 1.0} for
          "run_ablation_save_in_missing_dir", "run_ablation_save_is_a_file",
          "run_ablation_against_a_file", "run_ablation_against_missing",
          "run_ablation_against_no_checkpoints", "run_ablation_against_malformed_checkpoint",
+         "run_ablation_unknown_param", "run_ablation_param_without_values",
+         "run_ablation_values_without_param", "run_ablation_non_numeric_values",
+         "run_ablation_out_of_range_value", "run_ablation_nan_value",
          "gw_bench_zero_problems", "gw_bench_zero_repeats",
-         "run_sweep_zero_k", "run_sweep_negative_epochs", "collect_bench_out_in_missing_dir",
+         "collect_bench_out_in_missing_dir",
          "collect_bench_no_perfbench", "collect_bench_benchmark_not_json",
          "collect_bench_benchmark_without_workloads", "collect_bench_compare_missing_record",
          "collect_bench_compare_record_not_json", "collect_bench_compare_record_without_medians",
@@ -502,6 +482,7 @@ def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, tmp_path,
     # the scripts bind these names when they load
     monkeypatch.setattr(synth, "generate", no_work)
     monkeypatch.setattr(pipeline, "train_source", no_work)
+    monkeypatch.setattr(pipeline, "finetune", no_work)
     monkeypatch.setattr(gw, "gromov_wasserstein_distances", no_work)
     monkeypatch.setattr(subprocess, "run", no_work)  # collect_bench's benchmark runs
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -656,3 +637,33 @@ def test_run_ablation_against_a_run_of_another_task_names_the_first_other_block(
     expected = f"block 0 is ('embed', ({sizes[0]}, 32)), not ('embed', ({sizes[1]}, 32))"
     assert err.startswith("run_ablation: error: ") and str(directory / "1-f0.ckpt") in err
     assert expected in err and err.count("\n") == 1
+
+
+def test_run_ablation_sweep_at_the_base_value_reproduces_full(tmp_path, monkeypatch):
+    assert synth.TRANSFER_CONFIG["lambda2"] == 0.02
+    sweep = ["--param", "lambda2", "--values", "0.02"]
+    first = _run_ablation(monkeypatch, [*sweep, "--save", str(tmp_path),
+                                        "--json-out", str(tmp_path / "record.json")])
+    for line in first:
+        assert line["lambda2=0.02"] == line["full"]
+    record = json.loads((tmp_path / "record.json").read_text())
+    assert record["paired"]["lambda2=0.02-full"] == {
+        "mean": 0.0, "se": 0.0, "ci95": [0.0, 0.0], "wins": 0, "ties": 2, "losses": 0}
+    second = _run_ablation(monkeypatch, [*sweep, "--against", str(tmp_path)])
+    assert [line["max_abs_delta"]["lambda2=0.02"] for line in second] == [0.0, 0.0]
+
+
+def test_run_ablation_paired_differences():
+    paired = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_ablation.py"))["paired"]
+    # mean 0.01; squared deviations sum to 0.001, so SE = sqrt(0.001 / 3) / 2
+    stats = paired([0.02, -0.01, 0.0, 0.03])
+    assert stats["mean"] == pytest.approx(0.01)
+    assert stats["se"] == pytest.approx(np.sqrt(0.001 / 3) / 2)
+    assert (stats["wins"], stats["ties"], stats["losses"]) == (2, 1, 1)
+    assert -0.01 <= stats["ci95"][0] < 0.01 < stats["ci95"][1] <= 0.03
+    assert paired([0.02, -0.01, 0.0, 0.03]) == stats  # a fixed-seed bootstrap
+    # two seeds: a quarter of the resamples repeat each seed, so the interval spans both
+    assert paired([0.01, 0.03])["ci95"] == pytest.approx([0.01, 0.03])
+    assert paired([0.01, 0.03])["se"] == pytest.approx(0.01)
+    assert paired([-0.004]) == {"mean": -0.004, "se": None, "ci95": None,
+                                "wins": 0, "ties": 0, "losses": 1}

@@ -779,13 +779,20 @@ def test_sweep_single_value_matches_direct_run(task, f0):
     assert float(std_f1) == 0.0
 
 
-def test_sweep_rejects_unknown_param(task, f0):
+def test_sweep_rejects_unknown_param(task, f0, monkeypatch):
     with pytest.raises(InputError):
         sweep("nonsense", [1.0], f0, task.target_train, task.target_test, SMALL_CONFIG)
     with pytest.raises(InputError):
         sweep("T", [], f0, task.target_train, task.target_test, SMALL_CONFIG)
     with pytest.raises(InputError):
         sweep("T", [1.0], f0, task.target_train, task.target_test, SMALL_CONFIG, seeds=[])
+    # a bad value is refused before any value is fine-tuned
+    calls = []
+    monkeypatch.setattr(pipeline, "finetune", lambda *args: calls.append(args))
+    for values in ([2.0, 0.0], [2.0, float("nan")]):
+        with pytest.raises(InputError, match="temperature"):
+            sweep("T", values, f0, task.target_train, task.target_test, SMALL_CONFIG)
+    assert calls == []
 
 
 def test_delta_sweep_edge_count_monotone(task, f0):

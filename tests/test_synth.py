@@ -183,6 +183,7 @@ def test_entity_longer_than_the_sentence_is_skipped():
         {"target_mixtures": {"L1A": {"L3": 1.0}}},
         {"target_mixtures": {"L1A": {"L1": -1.0, "L2": 2.0}}},
         {"target_mixtures": {"L1A": {"L1": 0.0}}},
+        {"target_mixtures": {"L1A": {"L1": True, "L2": False}}},
         {"target_mixtures": {"L9": {"L1": 1.0}}},
         {"source_labels": ("L1", "L2", "L 3")},
         {"target_parents": {"L1A": "L1", "": "L2"}},
@@ -192,8 +193,8 @@ def test_entity_longer_than_the_sentence_is_skipped():
     ],
     ids=["negative_seed", "reversed_range", "empty_sentences", "cue_prob_above_1",
          "nan_distractor_prob", "parent_not_a_source_label", "no_target_labels",
-         "mixture_source_unknown", "negative_weight", "zero_weights", "mixture_label_unknown",
-         "label_with_space", "empty_label", "target_label_is_source_label",
+         "mixture_source_unknown", "negative_weight", "zero_weights", "bool_weights",
+         "mixture_label_unknown", "label_with_space", "empty_label", "target_label_is_source_label",
          "source_labels_differ_in_case", "target_labels_differ_in_case"],
 )
 def test_spec_rejects_out_of_range_values(fields):
