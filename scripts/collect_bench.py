@@ -17,13 +17,26 @@ workload and end-to-end metric it prints both medians and the relative
 change from A to B, marking each change larger than that metric's bound in
 the ``--root`` checkout's BENCHMARK.json as ``better`` or ``WORSE``.
 
+``--pair PARENT_ROOT`` times a change against its parent in alternating
+pairs, so that both sides of a pair meet the same machine load. Per
+workload of the ``--root`` checkout's BENCHMARK.json it runs ``--pairs``
+pairs (default 10) of seed 0 with ``--trace 0``, one run on each checkout,
+the parent first in odd pairs and the change first in even ones. The
+record, ``PAIR_<n>.json`` by default, holds per workload and end-to-end
+metric both sides' values and medians, the median of the per-pair ratios
+change / parent, the change's wins and losses, a two-sided sign-test
+p-value and a verdict: the metric's bound, unchanged, applied to the median
+ratio. ``f1_equal`` says whether F1 was equal in every pair.
+
     PYTHONPATH=src python3 scripts/collect_bench.py --root ../parent --out BENCH_0.json
     PYTHONPATH=src python3 scripts/collect_bench.py
     PYTHONPATH=src python3 scripts/collect_bench.py --compare BENCH_3.json BENCH_4.json
+    PYTHONPATH=src python3 scripts/collect_bench.py --pair ../parent --pairs 10
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -35,13 +48,17 @@ from labeltransfer.errors import InputError
 REPO = Path(__file__).resolve().parents[1]
 # the seeds every record runs, so that any two records compare seed by seed
 SEEDS = (0, 1, 2, 3, 4)
+# the seed of every --pair run: both sides of a pair, and every pair, time the same work
+PAIR_SEED = 0
+# pairs per workload in --pair mode, unless --pairs says otherwise
+PAIRS = 10
 
 
-def next_record(root: Path) -> Path:
+def next_record(root: Path, prefix: str = "BENCH") -> Path:
     n = 0
-    while (root / f"BENCH_{n}.json").exists():
+    while (root / f"{prefix}_{n}.json").exists():
         n += 1
-    return root / f"BENCH_{n}.json"
+    return root / f"{prefix}_{n}.json"
 
 
 def read_json(path, what: str, read):
@@ -53,19 +70,35 @@ def read_json(path, what: str, read):
             raise InputError(f"{fh.name} is not {what} ({type(exc).__name__}: {exc})") from None
 
 
-def check_args(args):
-    """(checkout root, workload names, run seconds, output path), or InputError."""
-    root = Path(args.root).resolve()
+def checkout(path) -> Path:
+    """``path`` resolved, or InputError if it holds no ``perfbench/run.py``."""
+    root = Path(path).resolve()
     if not (root / "perfbench" / "run.py").is_file():
         raise InputError(f"no perfbench/run.py under {root}")
-    workloads, seconds = read_json(root / "BENCHMARK.json", "a benchmark declaration", lambda b: (
+    return root
+
+
+def workloads_of(root: Path) -> tuple[list[str], float]:
+    """(workload names, run seconds) of the checkout's BENCHMARK.json."""
+    return read_json(root / "BENCHMARK.json", "a benchmark declaration", lambda b: (
         [w["name"] for w in b["workloads"]], b["run_seconds"]))
-    out = Path(args.out) if args.out else next_record(REPO)
+
+
+def new_record(out, prefix: str) -> Path:
+    """The path a record goes to, or InputError if it exists or its directory does not."""
+    out = Path(out) if out else next_record(REPO, prefix)
     if out.exists():
         raise InputError(f"{out} exists; a record is never overwritten")
     if not out.parent.is_dir():
         raise InputError(f"no directory {out.parent} for the record")
-    return root, workloads, seconds, out
+    return out
+
+
+def check_args(args):
+    """(checkout root, workload names, run seconds, output path), or InputError."""
+    root = checkout(args.root)
+    workloads, seconds = workloads_of(root)
+    return root, workloads, seconds, new_record(args.out, "BENCH")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -91,12 +124,24 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def end_to_end_bounds(root) -> dict[str, tuple[float, int]]:
+    """End-to-end metric -> (bound, sign): sign 1 where lower is better, -1 where higher is."""
+    return read_json(Path(root) / "BENCHMARK.json", "a benchmark declaration", lambda b: {
+        m["name"]: (m["bound"], {"lower": 1, "higher": -1}[m["better"]]) for m in b["end_to_end"]})
+
+
+def verdict(change: float, bound: float, sign: int) -> str:
+    """``change`` (relative, after / before - 1) against its bound: within, better or WORSE."""
+    if abs(change) <= bound:
+        return "within"
+    return "WORSE" if sign * change > 0 else "better"
+
+
 def compare(args) -> list[str]:
     """The ``--compare`` table of two records, or InputError before any line."""
     if args.out:
         raise InputError("--compare starts no run and writes no record; drop --out")
-    metrics = read_json(Path(args.root) / "BENCHMARK.json", "a benchmark declaration", lambda b: {
-        m["name"]: (m["bound"], {"lower": 1, "higher": -1}[m["better"]]) for m in b["end_to_end"]})
+    metrics = end_to_end_bounds(args.root)
 
     def medians(record):
         return {(w, m): entry["end_to_end"][m]["median"]
@@ -113,19 +158,107 @@ def compare(args) -> list[str]:
         bound, sign = metrics[metric]
         mark = ""
         if abs(change) > bound:
-            mark = f"  beyond {bound:.0%}: {'WORSE' if sign * change > 0 else 'better'}"
+            mark = f"  beyond {bound:.0%}: {verdict(change, bound, sign)}"
         lines.append(f"{workload:<16}{metric:<14}{before:>12.5g}{after:>12.5g}{change:>+9.1%}{mark}")
     return lines
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of ``wins`` against ``losses``; ties are left out."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2**n
+    return min(1.0, 2 * tail)
+
+
+def paired(parent: list[float], change: list[float], bound: float, sign: int) -> dict:
+    """One metric's pairs: medians, median ratio change / parent, wins, sign test and verdict."""
+    diffs = [sign * (c - p) for p, c in zip(parent, change)]  # < 0: the change is better
+    wins, losses = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
+    ratio = statistics.median(c / p for p, c in zip(parent, change)) if all(parent) else None
+    return {
+        "parent_median": statistics.median(parent), "change_median": statistics.median(change),
+        "median_ratio": ratio, "wins": wins, "losses": losses,
+        "sign_test_p": sign_test(wins, losses),
+        "verdict": None if ratio is None else verdict(ratio - 1.0, bound, sign),
+        "parent": parent, "change": change,
+    }
+
+
+def check_pair_args(args):
+    """(roots by side, pairs, workload names, run seconds, metric bounds, output path), or InputError."""
+    if not args.pair:
+        raise InputError("--pairs counts the pairs of --pair PARENT_ROOT, which is missing")
+    if args.compare:
+        raise InputError("--pair and --compare are two modes; give one")
+    pairs = PAIRS if args.pairs is None else args.pairs
+    if pairs < 1:
+        raise InputError(f"--pairs must be at least 1, not {pairs}")
+    roots = {"parent": checkout(args.pair), "change": checkout(args.root)}
+    workloads, seconds = workloads_of(roots["change"])
+    missing = set(workloads) - set(workloads_of(roots["parent"])[0])
+    if missing:
+        raise InputError(f"the parent declares no workload {sorted(missing)}")
+    bounds = end_to_end_bounds(roots["change"])
+    if "f1" not in bounds:
+        raise InputError("the benchmark declares no end-to-end f1, which every pair compares")
+    return roots, pairs, workloads, seconds, bounds, new_record(args.out, "PAIR")
+
+
+def pair_main(args):
+    """Run the alternating pairs and write their record (``--pair``)."""
+    with one_line_errors("collect_bench"):
+        roots, pairs, workloads, seconds, bounds, out = check_pair_args(args)
+    record = {"machine": {side: machine(root) for side, root in roots.items()},
+              "seed": PAIR_SEED, "seconds": seconds, "pairs": pairs, "workloads": {}}
+    lines = [f"{'workload':<16}{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>8}"
+             f"{'wins':>7}{'p':>8}  verdict"]
+    for workload in workloads:
+        runs = {"parent": [], "change": []}
+        order = []
+        for i in range(pairs):
+            first = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order.append(first[0])
+            for side in first:
+                runs[side].append(run_once(roots[side], workload, PAIR_SEED, seconds, 0))
+            print(f"{workload} pair {i + 1} of {pairs} done", file=sys.stderr)
+        values = {side: {m: [r["metrics"][m]["value"] for r in rs] for m in bounds}
+                  for side, rs in runs.items()}
+        metrics = {m: paired(values["parent"][m], values["change"][m], *bounds[m]) for m in bounds}
+        every = runs["parent"] + runs["change"]
+        record["workloads"][workload] = {
+            "first": order,
+            "f1_equal": values["parent"]["f1"] == values["change"]["f1"],
+            "attempted": sum(r["attempted"] for r in every),
+            "failed": sum(r["failed"] for r in every),
+            "end_to_end": metrics,
+        }
+        for m, entry in metrics.items():
+            ratio = "-" if entry["median_ratio"] is None else f"{entry['median_ratio']:.3f}"
+            lines.append(f"{workload:<16}{m:<14}{entry['parent_median']:>12.5g}"
+                         f"{entry['change_median']:>12.5g}{ratio:>8}"
+                         f"{entry['wins']:>4}/{pairs:<2}{entry['sign_test_p']:>8.3g}  {entry['verdict']}")
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+    print("\n".join(lines))
+    print(f"wrote {out}")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(REPO),
                         help="checkout to benchmark, or whose bounds --compare uses (default: this one)")
-    parser.add_argument("--out", help="record path (default: the next free BENCH_<n>.json here)")
+    parser.add_argument("--out", help="record path (default: the next free BENCH_<n>.json, "
+                                      "or PAIR_<n>.json with --pair, here)")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="print the change of each end-to-end median from record A to record B")
+    parser.add_argument("--pair", metavar="PARENT_ROOT",
+                        help="time --root against the checkout PARENT_ROOT in alternating pairs")
+    parser.add_argument("--pairs", type=int,
+                        help=f"pairs per workload in --pair mode (default: {PAIRS})")
     args = parser.parse_args(argv)
+    if args.pair or args.pairs is not None:
+        pair_main(args)
+        return
     if args.compare:
         with one_line_errors("collect_bench"):
             lines = compare(args)

@@ -24,13 +24,25 @@ ids)``), ``window_mix`` (the toy encoder's window-3 mixing layer with
 residual) and ``label_fusion`` (label attention, GCN and token fusion over
 a batch of sentences); each computes its forward with the same array
 operations as the chain it replaces, so their values agree bit for bit (for
-``label_fusion``, on a batch of one).
+``label_fusion``, on a batch of one). The unfused chains
+(``log_softmax_rows``, ``pick``, ``shift_rows``) are not part of the
+package: they live in tests/reference_ops.py, the reference the tests hold
+the fused ops to.
+
+At a training batch's size (about 90 rows of 32) an op costs mostly the
+fixed cost of each numpy call, so the ops move data by one gather or
+assignment on one index vector: ``window_mix`` gathers both shifted copies
+of its input from its rows with one zero row appended, ``label_fusion``
+moves token rows on one flat row index, and ``rows_select`` scatters into
+the flat gradient. Each moves values, or adds them in the
+order the row-wise op did, so the results are the same bit for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -104,11 +116,14 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward):
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-            out._order = next(_creation)
+        if _grad_enabled:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._backward = backward
+                    out._order = next(_creation)
+                    break
         return out
 
     def _accum(self, grad: np.ndarray):
@@ -134,7 +149,7 @@ class Tensor:
             stack.extend(node._parents)
         # a node is made after its parents, so every node's consumers run first
         nodes.sort(key=_creation_order, reverse=True)
-        self._accum(np.ones_like(self.data))
+        self._accum(np.ones(self.data.shape))
         for node in nodes:
             node._backward(node.grad)
             # free the tape: only leaf grads are read after backward()
@@ -264,7 +279,7 @@ def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
     """Row-wise softmax of ``a / temperature`` with max-shift stabilization."""
     if temperature <= 0:
         raise InputError("temperature must be positive")
-    if not np.all(np.isfinite(a.data)):
+    if not np.isfinite(a.data).all():
         raise NumericError("softmax_rows: non-finite input")
     s = _softmax(a.data / temperature)
 
@@ -286,21 +301,6 @@ def _softmax_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (g - (g * s).sum(axis=-1, keepdims=True)) * s
 
 
-def log_softmax_rows(a: Tensor) -> Tensor:
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("log_softmax_rows: non-finite input")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
-    s = np.exp(out)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g - s * g.sum(axis=-1, keepdims=True))
-
-    return Tensor._make(out, (a,), backward)
-
-
 def softplus(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
     sig = 1.0 / (1.0 + np.exp(-a.data))
@@ -312,33 +312,17 @@ def softplus(a: Tensor) -> Tensor:
     return Tensor._make(out, (a,), backward)
 
 
-def pick(a: Tensor, ids) -> Tensor:
-    """Select one entry per row: out[i] = a[i, ids[i]]."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if a.data.ndim != 2 or ids.ndim != 1 or ids.shape[0] != a.data.shape[0]:
-        raise ShapeError("pick expects a 2-D tensor and one index per row")
-    rows = np.arange(a.data.shape[0])
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[rows, ids] = g
-            a._accum(full)
-
-    return Tensor._make(a.data[rows, ids], (a,), backward)
-
-
 def cross_entropy_rows(a: Tensor, ids) -> Tensor:
     """Mean over rows of -log softmax(a)[i, ids[i]], as one op.
 
     The forward runs the array operations of
-    ``-pick(log_softmax_rows(a), ids).sum() / len(ids)`` in their order, so
-    the two agree bit for bit.
+    ``-pick(log_softmax_rows(a), ids).sum() / len(ids)`` (tests/reference_ops.py)
+    in their order, so the two agree bit for bit.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if a.data.ndim != 2 or ids.ndim != 1 or ids.shape[0] != a.data.shape[0]:
         raise ShapeError("cross_entropy_rows expects a 2-D tensor and one index per row")
-    if not np.all(np.isfinite(a.data)):
+    if not np.isfinite(a.data).all():
         raise NumericError("cross_entropy_rows: non-finite input")
     z = a.data - a.data.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -356,84 +340,79 @@ def cross_entropy_rows(a: Tensor, ids) -> Tensor:
 
 
 def rows_select(a: Tensor, ids) -> Tensor:
-    """Gather rows (embedding lookup); duplicate ids accumulate gradient."""
+    """Gather rows (embedding lookup); duplicate ids accumulate gradient.
+
+    The backward scatter-adds into ``a``'s own gradient with `np.add.at`,
+    which adds each id's row in id order. On a C-contiguous gradient it
+    runs on the flat vector, one index per element: each element still gets
+    its rows' entries added in id order, so the sums are the same bit for
+    bit, and numpy's one-dimensional ``ufunc.at`` loop costs less per entry
+    than its row-wise one.
+    """
     ids = np.asarray(ids, dtype=np.intp)
-    if np.any(ids < 0) or np.any(ids >= a.data.shape[0]):
+    if ids.size and (ids.min() < 0 or ids.max() >= a.data.shape[0]):
         raise ShapeError("rows_select: index out of range")
 
     def backward(g):
         if a.requires_grad:
             # scatter straight into a's own buffer; grad has one row per id
             if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, ids, g)
+                a.grad = np.zeros(a.data.shape)
+            if a.grad.flags.c_contiguous:
+                row = math.prod(a.data.shape[1:])  # entries per row
+                index = ids.reshape(-1, 1) * row + np.arange(row)
+                np.add.at(a.grad.reshape(-1), index.reshape(-1), g.reshape(-1))
+            else:
+                np.add.at(a.grad, ids, g)
 
-    return Tensor._make(a.data[ids], (a,), backward)
-
-
-def _shifted(x: np.ndarray, k: int, keep) -> np.ndarray:
-    """``x``'s rows shifted down by k (k>0) or up (k<0); vacated and unkept rows are 0."""
-    n = x.shape[0]
-    out = np.zeros_like(x)
-    if k >= 0:
-        out[k:] = x[: n - k]
-    else:
-        out[:k] = x[-k:]
-    if keep is not None:
-        out[~keep] = 0.0
-    return out
+    return Tensor._make(a.data.take(ids, axis=0), (a,), backward)
 
 
-def _unshifted(g: np.ndarray, k: int, keep) -> np.ndarray:
-    """The adjoint of `_shifted`: the gradient of its input from that of its output."""
-    if keep is not None:
-        g = g.copy()
-        g[~keep] = 0.0
-    return _shifted(g, -k, None)
+def _shift_index(k: int, keep, n: int) -> np.ndarray:
+    """The row each output row of a shift by k reads from ``x`` with one zero row appended.
 
-
-def _keep_mask(keep, n: int):
+    Output row i reads row i - k, or the zero row (index -1 or n) where
+    i - k falls outside ``x`` or ``keep[i]`` is False.
+    """
+    index = np.arange(-k, n - k)
     if keep is None:
-        return None
+        return index
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != (n,):
         raise ShapeError("keep needs one flag per row")
-    return keep
-
-
-def shift_rows(a: Tensor, k: int, keep=None) -> Tensor:
-    """Shift rows down by k (k>0) or up (k<0), filling vacated rows with 0.
-
-    ``keep`` is an optional boolean mask over the output rows; rows where it
-    is False are zeroed too. A batch of concatenated sentences passes False
-    at the rows whose shifted value would come from another sentence.
-    """
-    keep = _keep_mask(keep, a.data.shape[0])
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unshifted(g, k, keep))
-
-    return Tensor._make(_shifted(a.data, k, keep), (a,), backward)
+    return np.where(keep, index, n)
 
 
 def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Tensor,
                keep_prev=None, keep_next=None) -> Tensor:
-    """``e + relu(shift(e, 1) @ left + e @ center + shift(e, -1) @ right + bias)`` as one op.
+    """``e + relu(prev @ left + e @ center + nxt @ right + bias)`` as one op.
 
-    The toy encoder's window-3 mixing layer with residual; ``keep_prev`` and
-    ``keep_next`` are the `shift_rows` masks of the two shifted copies. The
-    forward runs the array operations of that composition in its order, so
-    the two agree bit for bit.
+    The toy encoder's window-3 mixing layer with residual. ``prev`` holds
+    ``e``'s rows shifted down by one and ``nxt`` shifted up by one, with 0 in
+    each vacated row. ``keep_prev`` and ``keep_next`` are optional boolean
+    masks over the output rows: a row where one is False gets 0 in that
+    shifted copy too, so a batch of concatenated sentences passes False
+    where the neighbour would come from another sentence.
+
+    Each shifted copy is one gather from ``e``'s rows with a zero row
+    appended (`_shift_index`). Every row of ``e`` feeds at most one row of a
+    copy, so the backward of a gather is an assignment into an (n + 1)-row
+    buffer; the rows that read the zero row write into its last row, which
+    is dropped. The forward runs the array operations of the composition of
+    row shifts (`shift_rows` in tests/reference_ops.py), matmuls and a relu
+    in its order, so the two agree bit for bit.
     """
     x = e.data
     if (x.ndim != 2 or {w.data.shape for w in (left, center, right)} != {(x.shape[1],) * 2}
             or bias.data.shape != (1, x.shape[1])):
         raise ShapeError("window_mix expects (n, d) rows, three (d, d) weights and a (1, d) bias")
-    keep_prev, keep_next = _keep_mask(keep_prev, x.shape[0]), _keep_mask(keep_next, x.shape[0])
-    prev, nxt = _shifted(x, 1, keep_prev), _shifted(x, -1, keep_next)
+    n, d = x.shape
+    prev_index, next_index = _shift_index(1, keep_prev, n), _shift_index(-1, keep_next, n)
+    padded = np.concatenate((x, np.zeros((1, d))))
+    prev, nxt = padded.take(prev_index, axis=0), padded.take(next_index, axis=0)
     mixed = prev @ left.data + x @ center.data + nxt @ right.data + bias.data
-    mask = mixed > 0
+    # float, not bool: float x float multiplies cost less than float x bool
+    mask = (mixed > 0).astype(np.float64)
 
     def backward(g):
         gm = g * mask  # through the relu
@@ -446,8 +425,10 @@ def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Ten
         if bias.requires_grad:
             bias._accum(gm.sum(axis=0, keepdims=True))
         if e.requires_grad:
-            e._accum(g + gm @ center.data.T + _unshifted(gm @ left.data.T, 1, keep_prev)
-                     + _unshifted(gm @ right.data.T, -1, keep_next))
+            from_prev, from_next = np.zeros((n + 1, d)), np.zeros((n + 1, d))
+            from_prev[prev_index] = gm @ left.data.T
+            from_next[next_index] = gm @ right.data.T
+            e._accum(g + gm @ center.data.T + from_prev[:n] + from_next[:n])
 
     return Tensor._make(x + mixed * mask, (e, left, center, right, bias), backward)
 
@@ -484,16 +465,17 @@ def label_fusion(h: Tensor, proj_w: Tensor, proj_b: Tensor, label_reps: Tensor,
             or a_hat.shape != (label_reps.data.shape[0],) * 2):
         raise ShapeError("label_fusion expects (n, d) rows, a positive length per sentence "
                          "and one adjacency row and column per label")
-    # row r of h is token position[r] of sentence sentence[r]
-    sentence = np.repeat(np.arange(lengths.size), lengths)
-    position = np.arange(x.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    padding = np.arange(lengths.max()) >= lengths[:, None]  # B x n_max
+    n_max = lengths.max()
+    # row r of h is row slot[r] of the padded rows: position p of sentence s is s * n_max + p
+    starts = np.cumsum(lengths) - lengths
+    slot = np.arange(x.shape[0]) + np.repeat(np.arange(lengths.size) * n_max - starts, lengths)
+    padding = np.arange(n_max) >= lengths[:, None]  # B x n_max
 
     q = x @ proj_w.data + proj_b.data
-    qp = np.zeros((lengths.size, lengths.max(), d_p))
-    qp[sentence, position] = q
+    qp = np.zeros((lengths.size, n_max, d_p))
+    _flat(qp)[slot] = q
     scores = label_reps.data @ qp.transpose(0, 2, 1)  # B x n_types x n_max
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NumericError("label_fusion: non-finite label scores")
     alpha = _softmax(np.where(padding[:, None, :], -np.inf, scores))
     u = alpha @ qp
@@ -503,18 +485,18 @@ def label_fusion(h: Tensor, proj_w: Tensor, proj_b: Tensor, label_reps: Tensor,
     ah = a_hat @ (z * relu_mask)
     u_prime = ah @ gcn_w2.data  # B x n_types x d_p
     scores = qp @ u_prime.transpose(0, 2, 1)  # B x n_max x n_types
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NumericError("label_fusion: non-finite token scores")
     beta = _softmax(scores)
-    mix = (beta @ u_prime)[sentence, position]
+    mix = _flat(beta @ u_prime).take(slot, axis=0)
 
     def backward(g):
         if out_w.requires_grad:
             out_w._accum(mix.T @ g)
         if out_b.requires_grad:
             out_b._accum(g.sum(axis=0, keepdims=True))
-        g_mix = np.zeros_like(qp)  # padding rows stay 0, and so do their gradients below
-        g_mix[sentence, position] = g @ out_w.data.T
+        g_mix = np.zeros(qp.shape)  # padding rows stay 0, and so do their gradients below
+        _flat(g_mix)[slot] = g @ out_w.data.T
         g_scores = _softmax_grad(g_mix @ u_prime.transpose(0, 2, 1), beta)
         g_u_prime = beta.transpose(0, 2, 1) @ g_mix + g_scores.transpose(0, 2, 1) @ qp
         g_qp = g_scores @ u_prime
@@ -529,7 +511,7 @@ def label_fusion(h: Tensor, proj_w: Tensor, proj_b: Tensor, label_reps: Tensor,
         if label_reps.requires_grad:
             label_reps._accum((g_scores @ qp).sum(axis=0))
         g_qp += g_scores.transpose(0, 2, 1) @ label_reps.data
-        g_q = g_qp[sentence, position]
+        g_q = _flat(g_qp).take(slot, axis=0)
         if proj_w.requires_grad:
             proj_w._accum(x.T @ g_q)
         if proj_b.requires_grad:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -135,9 +136,9 @@ class ModelParams:
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """(``flat_data``, ``flat_grad``); ShapeError names a block that no longer views them."""
         data, grad = self.flat_data, self.flat_grad
-        for name, tensor in self.named_tensors():
-            held = data is not None and tensor.data.base is data
-            if not (held and tensor.grad is not None and tensor.grad.base is grad):
+        for name, tensor in zip(_BLOCKS, _block_tensors(self)):
+            if tensor is not None and (data is None or tensor.data.base is not data
+                                       or tensor.grad is None or tensor.grad.base is not grad):
                 raise ShapeError(f"parameter block {name!r} no longer views the flat "
                                  "parameter and gradient vectors")
         return data, grad
@@ -145,6 +146,8 @@ class ModelParams:
 
 # block name -> its field metadata, in field order
 _BLOCKS = {f.name: f.metadata for f in dataclasses.fields(ModelParams) if "shape" in f.metadata}
+# a ModelParams' block tensors (None for a block it does not hold) in one call, in table order
+_block_tensors = attrgetter(*_BLOCKS)
 
 
 def init_params(params: ModelParams, rng: np.random.Generator, vocab_size: int, fused: bool):
@@ -192,7 +195,7 @@ class Segments(NamedTuple):
 def segments(lengths) -> Segments:
     """Check a batch's token counts (each >= 1) and lay out its rows."""
     lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.size == 0 or np.any(lengths < 1):
+    if lengths.size == 0 or lengths.min() < 1:
         raise InputError("empty sentence")
     return Segments(lengths, np.concatenate(([0], np.cumsum(lengths))))
 
@@ -325,7 +328,7 @@ def classification_loss_from_logits(logits: Tensor, gold_tag_ids) -> Tensor:
     the per-sentence losses.
     """
     gold_tag_ids = np.asarray(gold_tag_ids, dtype=np.intp)
-    if np.any(gold_tag_ids < 0) or np.any(gold_tag_ids >= logits.data.shape[1]):
+    if gold_tag_ids.size and (gold_tag_ids.min() < 0 or gold_tag_ids.max() >= logits.data.shape[1]):
         raise InputError("gold tag id outside tag set")
     return ad.cross_entropy_rows(logits, gold_tag_ids)
 

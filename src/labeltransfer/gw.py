@@ -48,7 +48,7 @@ class GwResult:
 def _check_distance_matrix(d: np.ndarray, name: str):
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ShapeError(f"{name} must be square")
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise NumericError(f"{name} contains non-finite values")
 
 
@@ -119,9 +119,9 @@ def sinkhorn(
         raise InputError("epsilon must be positive")
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
-    if np.any(u <= 0) or np.any(v <= 0):
+    if (u <= 0).any() or (v <= 0).any():
         raise InputError("marginals must be strictly positive")
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise NumericError("sinkhorn: non-finite cost")
     f = np.zeros(cost.shape[0]) if warm_f is None else warm_f
     g = np.zeros(cost.shape[1]) if warm_g is None else warm_g
@@ -147,13 +147,15 @@ def _sinkhorn_scaling(cost, u, v, epsilon, max_iter, tol, f, g):
     b = np.ones(cost.shape[1])
     converged = False
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # ndarray.dot: the same products as @, at less call overhead
+        Kb = K.dot(b)
         for it in range(1, max_iter + 1):
-            # ndarray.dot: the same products as @, at less call overhead
-            a = u / K.dot(b)
+            a = u / Kb
             b = v / a.dot(K)
+            Kb = K.dot(b)  # the row check and the next a update share it
             # column marginals hold exactly after the b update; check rows
             if it % _CHECK_EVERY == 0 or it == max_iter:
-                row_err = np.abs(a * K.dot(b) - u).max()
+                row_err = np.abs(a * Kb - u).max()
                 if row_err < tol:
                     converged = True
                     break
@@ -161,7 +163,7 @@ def _sinkhorn_scaling(cost, u, v, epsilon, max_iter, tol, f, g):
                     return None
         f = f + epsilon * (np.log(a) - top)
         g = g + epsilon * np.log(b)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
         return None
     return a[:, None] * K * b[None, :], f, g, it, converged
 

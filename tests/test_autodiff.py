@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_ops as ref
 from labeltransfer import autodiff as ad
 from labeltransfer.autodiff import NumericError, ShapeError, Tensor, grad_check
 
@@ -75,21 +76,21 @@ def test_l2_distance_symmetry(vec):
 
 def test_shift_rows_values():
     a = Tensor(np.arange(6.0).reshape(3, 2))
-    down = ad.shift_rows(a, 1)
+    down = ref.shift_rows(a, 1)
     np.testing.assert_array_equal(down.data, [[0, 0], [0, 1], [2, 3]])
-    up = ad.shift_rows(a, -1)
+    up = ref.shift_rows(a, -1)
     np.testing.assert_array_equal(up.data, [[2, 3], [4, 5], [0, 0]])
 
 
 def test_shift_rows_keep_zeroes_masked_rows():
     a = Tensor(np.arange(8.0).reshape(4, 2))
     keep = np.array([True, True, False, True])
-    down = ad.shift_rows(a, 1, keep)
+    down = ref.shift_rows(a, 1, keep)
     np.testing.assert_array_equal(down.data, [[0, 0], [0, 1], [0, 0], [4, 5]])
-    up = ad.shift_rows(a, -1, keep)
+    up = ref.shift_rows(a, -1, keep)
     np.testing.assert_array_equal(up.data, [[2, 3], [4, 5], [0, 0], [0, 0]])
     with pytest.raises(ShapeError):
-        ad.shift_rows(a, 1, np.ones(3, dtype=bool))
+        ref.shift_rows(a, 1, np.ones(3, dtype=bool))
 
 
 def test_logsumexp_cols_matches_numpy():
@@ -237,7 +238,7 @@ def test_grad_softmax_and_log_softmax():
 
     def f():
         return (ad.softmax_rows(a, temperature=2.5) * w).sum() + (
-            ad.log_softmax_rows(a) * w
+            ref.log_softmax_rows(a) * w
         ).sum()
 
     assert grad_check(f, [a]).passed
@@ -250,7 +251,7 @@ def test_grad_pick_and_rows_select():
     sel = np.array([1, 1, 4, 0])  # duplicates accumulate
 
     def f():
-        return ad.pick(a, ids).sum() + (ad.rows_select(a, sel) * 2.0).sum()
+        return ref.pick(a, ids).sum() + (ad.rows_select(a, sel) * 2.0).sum()
 
     assert grad_check(f, [a]).passed
 
@@ -260,13 +261,68 @@ def test_rows_select_out_of_range():
         ad.rows_select(Tensor(np.ones((2, 2))), [0, 2])
 
 
+def test_rows_select_empty_ids_and_range_bounds():
+    rng = np.random.default_rng(28)
+    a = rand(rng, 3, 2)
+    empty = ad.rows_select(a, np.array([], dtype=np.intp))
+    assert empty.data.shape == (0, 2)
+    (empty.sum() + (a * 1.0).sum()).backward()  # the empty gather adds nothing
+    np.testing.assert_array_equal(a.grad, np.ones((3, 2)))
+    np.testing.assert_array_equal(ad.rows_select(a, [0, 2]).data, a.data[[0, 2]])
+    for bad in ([-1], [0, 3], [2, -1]):
+        with pytest.raises(ShapeError):
+            ad.rows_select(a, bad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000))
+def test_rows_select_scatter_equals_rowwise_add_at(seed):
+    """The flat scatter adds each element's entries in id order, as the row-wise one does."""
+    rng = np.random.default_rng(seed)
+    n_rows, d = rng.integers(1, 6), rng.integers(1, 4)
+    ids = rng.integers(0, n_rows, size=rng.integers(0, 12))  # duplicates accumulate
+    g = rng.normal(size=(len(ids), d)) * 10.0 ** rng.uniform(-8, 8, size=(len(ids), 1))
+    start = rng.normal(size=(n_rows, d))
+    want = start.copy()
+    np.add.at(want, ids, g)
+    for grad in (start.copy(), np.asfortranarray(start)):  # the flat and the row-wise path
+        a = Tensor(np.zeros((n_rows, d)), requires_grad=True)
+        a.grad = grad
+        (ad.rows_select(a, ids) * Tensor(g)).sum().backward()
+        assert a.grad is grad and a.grad.tobytes() == want.tobytes()
+
+
+def _label_fusion_inputs(rng, d=3, d_p=2, n_types=3):
+    """A batch of two sentences (lengths 2 and 1) and every label_fusion parameter."""
+    shapes = [(d, d_p), (1, d_p), (n_types, d_p), (d_p, d_p), (d_p, d_p), (d_p, d), (1, d)]
+    blocks = [rand(rng, *shape) for shape in shapes]
+    return rand(rng, 3, d), blocks, np.full((n_types, n_types), 1.0 / n_types), [2, 1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fused_ops_reject_non_finite_input(bad):
+    rng = np.random.default_rng(29)
+    logits = rand(rng, 3, 4)
+    logits.data[1, 2] = bad
+    with pytest.raises(NumericError):
+        ad.cross_entropy_rows(logits, [0, 1, 2])
+    with pytest.raises(NumericError):
+        ad.softmax_rows(logits)
+    # a label representation reaches the label scores, gcn_w2 only the token scores
+    for block, message in ((2, "label scores"), (4, "token scores")):
+        h, blocks, a_hat, lengths = _label_fusion_inputs(rng)
+        blocks[block].data[0, 0] = bad
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=message):
+            ad.label_fusion(h, *blocks, a_hat, lengths)
+
+
 def test_grad_shift_and_concat():
     rng = np.random.default_rng(23)
     a, b = rand(rng, 3, 2), rand(rng, 2, 2)
     w = Tensor(rng.normal(size=(5, 2)))
 
     def f():
-        cat = ad.concat_rows([ad.shift_rows(a, 1), ad.shift_rows(b, -1)])
+        cat = ad.concat_rows([ref.shift_rows(a, 1), ref.shift_rows(b, -1)])
         return (cat * w).sum()
 
     assert grad_check(f, [a, b]).passed
@@ -311,7 +367,7 @@ def test_grad_shift_rows_with_keep_mask():
     keep = np.array([True, False, True, True, False, True])
 
     def f():
-        return ((ad.shift_rows(a, 1, keep) + ad.shift_rows(a, -1, keep)) * w).sum()
+        return ((ref.shift_rows(a, 1, keep) + ref.shift_rows(a, -1, keep)) * w).sum()
 
     assert grad_check(f, [a]).passed
     a.grad = None
@@ -362,10 +418,10 @@ def test_cross_entropy_rows_equals_log_softmax_pick_composition(seed, n, k):
         return 0.7 * ad.cross_entropy_rows(a, ids) + (a * w).sum()
 
     def composed():
-        return 0.7 * (-ad.pick(ad.log_softmax_rows(a), ids).sum() / float(n)) + (a * w).sum()
+        return 0.7 * (-ref.pick(ref.log_softmax_rows(a), ids).sum() / float(n)) + (a * w).sum()
 
     assert ad.cross_entropy_rows(a, ids).data.tobytes() == (
-        -ad.pick(ad.log_softmax_rows(a), ids).sum() / float(n)).data.tobytes()
+        -ref.pick(ref.log_softmax_rows(a), ids).sum() / float(n)).data.tobytes()
     got, want = _leaf_grads(fused(), [a]), _leaf_grads(composed(), [a])
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     assert grad_check(fused, [a]).passed
@@ -380,9 +436,9 @@ def test_cross_entropy_rows_errors():
 
 def _window_composition(e, left, center, right, bias, keep_prev, keep_next):
     mixed = (
-        ad.matmul(ad.shift_rows(e, 1, keep_prev), left)
+        ad.matmul(ref.shift_rows(e, 1, keep_prev), left)
         + ad.matmul(e, center)
-        + ad.matmul(ad.shift_rows(e, -1, keep_next), right)
+        + ad.matmul(ref.shift_rows(e, -1, keep_next), right)
         + bias
     )
     return e + ad.relu(mixed)
@@ -398,7 +454,7 @@ def _sentence_masks(lengths):
     return keep_prev, keep_next
 
 
-@pytest.mark.parametrize("lengths", [[1], [5], [3, 1, 4], [2, 2]])
+@pytest.mark.parametrize("lengths", [[1], [5], [3, 1, 4], [2, 2], [1, 1, 1]])
 @pytest.mark.parametrize("masked", [True, False])
 def test_window_mix_equals_shift_matmul_relu_composition(lengths, masked):
     rng = np.random.default_rng(sum(lengths) + 10 * masked)
@@ -505,7 +561,7 @@ def test_backward_in_creation_order_equals_depth_first_order():
         z = ad.relu(y) * 2.0    # made before s, listed before it below
         s = ad.softmax_rows(y)
         t = ad.matmul(s, y) + z
-        return (t * z).sum() + ad.log_softmax_rows(y).sum()
+        return (t * z).sum() + ref.log_softmax_rows(y).sum()
 
     x, w = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
     build(x, w).backward()

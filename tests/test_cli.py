@@ -414,9 +414,11 @@ def test_sweep_out_of_range_value_exits_2_before_finetuning(workdir, capsys, mon
     _assert_one_line_error(capsys, exc_info)
 
 
+# this checkout, and the end-to-end metrics of its benchmark
+REPO = str(Path(__file__).resolve().parents[1])
+BENCHMARK = json.loads((Path(REPO) / "BENCHMARK.json").read_text())
+END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
 # a benchmark record of one workload whose every end-to-end median is 1
-END_TO_END = [m["name"] for m in json.loads(
-    (Path(__file__).parents[1] / "BENCHMARK.json").read_text())["end_to_end"]]
 RECORD = json.dumps({"workloads": {"tag": {"end_to_end": {m: {"median": 1.0} for m in END_TO_END}}}})
 
 
@@ -456,6 +458,14 @@ RECORD = json.dumps({"workloads": {"tag": {"end_to_end": {m: {"median": 1.0} for
          {"A.json": RECORD, "B.json": RECORD}),
         ("collect_bench", ["--root", "{tmp}", "--compare", "{tmp}/A.json", "{tmp}/A.json"],
          {"A.json": RECORD, "BENCHMARK.json": '{"end_to_end": [{"name": "run_s"}]}'}),
+        ("collect_bench", ["--pairs", "3"], {}),
+        ("collect_bench", ["--pair", "{tmp}"], {}),
+        ("collect_bench", ["--pair", REPO, "--pairs", "0"], {}),
+        ("collect_bench", ["--pair", REPO, "--compare", "{tmp}/A.json", "{tmp}/A.json"],
+         {"A.json": RECORD}),
+        ("collect_bench", ["--pair", "{tmp}"],
+         {"perfbench/run.py": "", "BENCHMARK.json": '{"workloads": [], "run_seconds": 15}'}),
+        ("collect_bench", ["--pair", REPO, "--out", "no_such_dir/PAIR_0.json"], {}),
     ],
     ids=["run_ablation_zero_k", "run_ablation_zero_seeds", "run_ablation_json_out_in_missing_dir",
          "run_ablation_save_in_missing_dir", "run_ablation_save_is_a_file",
@@ -470,7 +480,10 @@ RECORD = json.dumps({"workloads": {"tag": {"end_to_end": {m: {"median": 1.0} for
          "collect_bench_benchmark_without_workloads", "collect_bench_compare_missing_record",
          "collect_bench_compare_record_not_json", "collect_bench_compare_record_without_medians",
          "collect_bench_compare_other_workloads", "collect_bench_compare_with_out",
-         "collect_bench_compare_benchmark_without_bounds"],
+         "collect_bench_compare_benchmark_without_bounds", "collect_bench_pairs_without_pair",
+         "collect_bench_pair_no_perfbench", "collect_bench_pair_zero_pairs",
+         "collect_bench_pair_with_compare", "collect_bench_pair_parent_lacks_the_workloads",
+         "collect_bench_pair_out_in_missing_dir"],
 )
 def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, tmp_path, script, argv, files):
     def no_work(*args, **kwargs):
@@ -494,6 +507,87 @@ def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"{script}: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _stub_benchmark_runs(monkeypatch, values):
+    """Make ``subprocess.run`` answer perfbench runs with ``values(cwd, run index)``; returns the cwds.
+
+    ``values`` gives the end-to-end metrics of one run; git calls fail, as
+    outside a checkout.
+    """
+    cwds = []
+
+    def run(argv, cwd=None, **kwargs):
+        if argv[0] == "git":
+            raise OSError("no git here")
+        assert argv[1:3] == ["perfbench/run.py", "--workload"] and argv[-2:] == ["--trace", "0"]
+        cwds.append(str(cwd))
+        metrics = {m: {"value": v, "unit": "-"} for m, v in values(str(cwd), len(cwds) - 1).items()}
+        line = json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics})
+        return subprocess.CompletedProcess(argv, 0, stdout=f"progress\n{line}\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    return cwds
+
+
+def test_collect_bench_pair_of_a_checkout_against_itself(capsys, monkeypatch, tmp_path):
+    cwds = _stub_benchmark_runs(monkeypatch, lambda cwd, i: {m: 1.0 + (i // 2) for m in END_TO_END})
+    namespace = runpy.run_path(str(Path(REPO) / "scripts" / "collect_bench.py"))
+    out = tmp_path / "PAIR_0.json"
+    namespace["main"](["--pair", REPO, "--pairs", "3", "--out", str(out)])
+    record = json.loads(out.read_text())
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
+    assert list(record["workloads"]) == workloads
+    assert len(cwds) == 2 * 3 * len(workloads) and set(cwds) == {REPO}
+    assert record["pairs"] == 3 and record["seconds"] == BENCHMARK["run_seconds"]
+    for entry in record["workloads"].values():
+        assert entry["first"] == ["parent", "change", "parent"]
+        assert entry["f1_equal"] is True
+        assert (entry["attempted"], entry["failed"]) == (12, 0)
+        assert sorted(entry["end_to_end"]) == sorted(END_TO_END)
+        for metric in entry["end_to_end"].values():
+            assert metric["parent"] == metric["change"]
+            assert metric["median_ratio"] == 1.0
+            assert (metric["wins"], metric["losses"], metric["sign_test_p"]) == (0, 0, 1.0)
+            assert metric["verdict"] == "within"
+    stdout = capsys.readouterr().out
+    assert stdout.rstrip().endswith(f"wrote {out}")
+
+
+def test_collect_bench_pair_alternates_and_applies_the_bounds(capsys, monkeypatch, tmp_path):
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
+    (parent / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+
+    def values(cwd, i):
+        pair = i // 2  # runs 2k and 2k + 1 are pair k, whichever side went first
+        if cwd == str(parent):
+            return {"setup_s": 1.0, "run_s": 1.0, "tokens_per_s": 100.0, "f1": 0.5, "peak_rss_mb": 40.0}
+        return {"setup_s": 1.0, "run_s": 1.2 if pair == 1 else 0.7,  # loses pair 2 only
+                "tokens_per_s": 100.0 / 0.7, "f1": 0.4 if pair == 3 else 0.5, "peak_rss_mb": 48.0}
+
+    cwds = _stub_benchmark_runs(monkeypatch, values)
+    namespace = runpy.run_path(str(Path(REPO) / "scripts" / "collect_bench.py"))
+    out = tmp_path / "PAIR_0.json"
+    namespace["main"](["--pair", str(parent), "--pairs", "5", "--out", str(out)])
+    first = [cwds[i] for i in range(0, 10, 2)]  # the first workload's pairs
+    assert first == [str(parent), REPO, str(parent), REPO, str(parent)]
+    entry = json.loads(out.read_text())["workloads"][BENCHMARK["workloads"][0]["name"]]
+    assert entry["first"] == ["parent", "change", "parent", "change", "parent"]
+    assert entry["f1_equal"] is False
+    metrics = entry["end_to_end"]
+    run_s = metrics["run_s"]
+    assert run_s["parent"] == [1.0] * 5 and run_s["change"] == [0.7, 1.2, 0.7, 0.7, 0.7]
+    assert (run_s["wins"], run_s["losses"]) == (4, 1)
+    assert run_s["median_ratio"] == pytest.approx(0.7)
+    assert run_s["sign_test_p"] == pytest.approx(2 * (1 + 5) / 2**5)
+    assert run_s["verdict"] == "better"  # 30 % faster, beyond the 25 % bound
+    assert metrics["tokens_per_s"]["verdict"] == "better" and metrics["tokens_per_s"]["wins"] == 5
+    assert metrics["peak_rss_mb"]["verdict"] == "WORSE"  # 20 % more, beyond the 10 % bound
+    assert metrics["peak_rss_mb"]["sign_test_p"] == pytest.approx(2 / 2**5)
+    assert metrics["setup_s"]["verdict"] == "within" and metrics["setup_s"]["sign_test_p"] == 1.0
+    assert (metrics["f1"]["wins"], metrics["f1"]["losses"]) == (0, 1)
 
 
 def test_collect_bench_compare_marks_changes_beyond_the_bound(capsys, monkeypatch, tmp_path):

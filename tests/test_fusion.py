@@ -17,11 +17,13 @@ from labeltransfer.fusion import (
     Vocab,
     auxiliary_loss,
     classification_loss,
+    classification_loss_from_logits,
     encode_toy,
     fusion_forward,
     gcn_propagate,
     init_params,
     label_attention,
+    segments,
     token_fusion,
 )
 from labeltransfer.labelgraph import build_graph
@@ -225,6 +227,22 @@ def test_classification_loss_rejects_bad_ids():
     params.cls_b = Tensor(np.zeros((1, 2)))
     with pytest.raises(InputError):
         classification_loss(Tensor(np.ones((1, 2))), [5], params)
+
+
+def test_classification_loss_rejects_ids_just_outside_the_tag_set():
+    logits = Tensor(np.zeros((2, 3)))
+    assert classification_loss_from_logits(logits, [0, 2]).item() == pytest.approx(np.log(3.0))
+    for bad in ([-1, 0], [0, 3]):
+        with pytest.raises(InputError, match="tag set"):
+            classification_loss_from_logits(logits, bad)
+
+
+def test_segments_reject_an_empty_batch_or_sentence():
+    for bad in ([], [3, 0]):
+        with pytest.raises(InputError, match="empty sentence"):
+            segments(bad)
+    seg = segments([3, 1])
+    np.testing.assert_array_equal(seg.offsets, [0, 3, 4])
 
 
 def test_auxiliary_loss_zero_logits():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from labeltransfer.autodiff import NumericError, ShapeError, Tensor
+from labeltransfer.errors import InputError
 from labeltransfer.gw import (
     _MAX_KERNEL_SPREAD,
     _sinkhorn_log,
@@ -107,6 +108,15 @@ def test_sinkhorn_rejects_bad_inputs():
         sinkhorn(np.array([[np.inf, 0.0], [0.0, 0.0]]), u, u, epsilon=0.1)
     with pytest.raises(ValueError):
         sinkhorn(np.zeros((2, 2)), u, u, epsilon=0.1, max_iter=0)
+
+
+def test_sinkhorn_rejects_a_zero_marginal_and_a_nan_cost():
+    u = np.array([0.5, 0.5])
+    for row, col in ((np.array([0.0, 1.0]), u), (u, np.array([1.0, 0.0]))):
+        with pytest.raises(InputError, match="strictly positive"):
+            sinkhorn(np.zeros((2, 2)), row, col, epsilon=0.1)
+    with pytest.raises(NumericError, match="non-finite cost"):
+        sinkhorn(np.array([[0.0, np.nan], [0.0, 0.0]]), u, u, epsilon=0.1)
 
 
 @settings(max_examples=40, deadline=None)
