@@ -410,9 +410,14 @@ def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Ten
     prev_index, next_index = _shift_index(1, keep_prev, n), _shift_index(-1, keep_next, n)
     padded = np.concatenate((x, np.zeros((1, d))))
     prev, nxt = padded.take(prev_index, axis=0), padded.take(next_index, axis=0)
-    mixed = prev @ left.data + x @ center.data + nxt @ right.data + bias.data
-    # float, not bool: float x float multiplies cost less than float x bool
-    mask = (mixed > 0).astype(np.float64)
+    # in place, in the composition's order: fewer (n, d) temporaries to allocate
+    mixed = prev @ left.data
+    mixed += x @ center.data
+    mixed += nxt @ right.data
+    mixed += bias.data
+    mask = mixed > 0
+    out = mixed * mask
+    out += x  # x + relu(mixed): IEEE addition commutes, bit for bit
 
     def backward(g):
         gm = g * mask  # through the relu
@@ -428,9 +433,12 @@ def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Ten
             from_prev, from_next = np.zeros((n + 1, d)), np.zeros((n + 1, d))
             from_prev[prev_index] = gm @ left.data.T
             from_next[next_index] = gm @ right.data.T
-            e._accum(g + gm @ center.data.T + from_prev[:n] + from_next[:n])
+            grad = g + gm @ center.data.T
+            grad += from_prev[:n]
+            grad += from_next[:n]
+            e._accum(grad)
 
-    return Tensor._make(x + mixed * mask, (e, left, center, right, bias), backward)
+    return Tensor._make(out, (e, left, center, right, bias), backward)
 
 
 def _flat(x: np.ndarray) -> np.ndarray:
@@ -471,7 +479,8 @@ def label_fusion(h: Tensor, proj_w: Tensor, proj_b: Tensor, label_reps: Tensor,
     slot = np.arange(x.shape[0]) + np.repeat(np.arange(lengths.size) * n_max - starts, lengths)
     padding = np.arange(n_max) >= lengths[:, None]  # B x n_max
 
-    q = x @ proj_w.data + proj_b.data
+    q = x @ proj_w.data
+    q += proj_b.data
     qp = np.zeros((lengths.size, n_max, d_p))
     _flat(qp)[slot] = q
     scores = label_reps.data @ qp.transpose(0, 2, 1)  # B x n_types x n_max
@@ -520,7 +529,10 @@ def label_fusion(h: Tensor, proj_w: Tensor, proj_b: Tensor, label_reps: Tensor,
             h._accum(g + g_q @ proj_w.data.T)
 
     parents = (h, proj_w, proj_b, label_reps, gcn_w1, gcn_w2, out_w, out_b)
-    return Tensor._make(x + mix @ out_w.data + out_b.data, parents, backward)
+    out = mix @ out_w.data
+    out += x  # x + mix @ out_w.data, one temporary fewer
+    out += out_b.data
+    return Tensor._make(out, parents, backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
