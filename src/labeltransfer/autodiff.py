@@ -34,8 +34,11 @@ fixed cost of each numpy call, so the ops move data by one gather or
 assignment on one index vector: ``window_mix`` gathers both shifted copies
 of its input from its rows with one zero row appended, ``label_fusion``
 moves token rows on one flat row index, and ``rows_select`` scatters into
-the flat gradient. Each moves values, or adds them in the
-order the row-wise op did, so the results are the same bit for bit.
+the flat gradient. Each moves values, or adds them in the order the
+row-wise op did, so the results are the same bit for bit. Sums of (n, d)
+arrays in ``window_mix`` and ``label_fusion`` accumulate in place, in the
+same order: at an inference chunk's size (about 700 rows) every (n, d)
+temporary is memory the allocator hands back and faults in again.
 """
 
 from __future__ import annotations
