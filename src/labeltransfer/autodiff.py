@@ -24,21 +24,11 @@ ids)``), ``window_mix`` (the toy encoder's window-3 mixing layer with
 residual) and ``label_fusion`` (label attention, GCN and token fusion over
 a batch of sentences); each computes its forward with the same array
 operations as the chain it replaces, so their values agree bit for bit (for
-``label_fusion``, on a batch of one). The unfused chains
-(``log_softmax_rows``, ``pick``, ``shift_rows``) are not part of the
-package: they live in tests/reference_ops.py, the reference the tests hold
-the fused ops to.
-
-At a training batch's size (about 90 rows of 32) an op costs mostly the
-fixed cost of each numpy call, so the ops move data by one gather or
-assignment on one index vector: ``window_mix`` gathers both shifted copies
-of its input from its rows with one zero row appended, ``label_fusion``
-moves token rows on one flat row index, and ``rows_select`` scatters into
-the flat gradient. Each moves values, or adds them in the order the
-row-wise op did, so the results are the same bit for bit. Sums of (n, d)
-arrays in ``window_mix`` and ``label_fusion`` accumulate in place, in the
-same order: at an inference chunk's size (about 700 rows) every (n, d)
-temporary is memory the allocator hands back and faults in again.
+``label_fusion``, on a batch of one); the chains live in tests/reference_ops.py.
+A training batch (about 90 rows of 32) costs mostly per numpy call, so the
+ops move rows by one gather or assignment on one index vector (``window_mix``
+reads its shifted copies from its rows plus one zero row) and add in place
+where the order allows; each adds in the unfused order, bit for bit.
 """
 
 from __future__ import annotations
@@ -345,12 +335,9 @@ def cross_entropy_rows(a: Tensor, ids) -> Tensor:
 def rows_select(a: Tensor, ids) -> Tensor:
     """Gather rows (embedding lookup); duplicate ids accumulate gradient.
 
-    The backward scatter-adds into ``a``'s own gradient with `np.add.at`,
-    which adds each id's row in id order. On a C-contiguous gradient it
-    runs on the flat vector, one index per element: each element still gets
-    its rows' entries added in id order, so the sums are the same bit for
-    bit, and numpy's one-dimensional ``ufunc.at`` loop costs less per entry
-    than its row-wise one.
+    On a C-contiguous gradient the backward's `np.add.at` runs on the flat
+    vector, one index per entry (numpy's faster 1-D loop); every entry still
+    gets its rows' values added in id order, so the sums are bit-identical.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= a.data.shape[0]):
@@ -372,11 +359,8 @@ def rows_select(a: Tensor, ids) -> Tensor:
 
 
 def _shift_index(k: int, keep, n: int) -> np.ndarray:
-    """The row each output row of a shift by k reads from ``x`` with one zero row appended.
-
-    Output row i reads row i - k, or the zero row (index -1 or n) where
-    i - k falls outside ``x`` or ``keep[i]`` is False.
-    """
+    """The row of ``x`` plus one zero row that row i of a shift by k reads: i - k, or the
+    zero row (n, or -1) where i - k is outside ``x`` or ``keep[i]`` is False."""
     index = np.arange(-k, n - k)
     if keep is None:
         return index
@@ -397,13 +381,11 @@ def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Ten
     shifted copy too, so a batch of concatenated sentences passes False
     where the neighbour would come from another sentence.
 
-    Each shifted copy is one gather from ``e``'s rows with a zero row
-    appended (`_shift_index`). Every row of ``e`` feeds at most one row of a
-    copy, so the backward of a gather is an assignment into an (n + 1)-row
-    buffer; the rows that read the zero row write into its last row, which
-    is dropped. The forward runs the array operations of the composition of
-    row shifts (`shift_rows` in tests/reference_ops.py), matmuls and a relu
-    in its order, so the two agree bit for bit.
+    Each shifted copy is one gather from ``e``'s rows plus one zero row
+    (`_shift_index`). A row of ``e`` feeds at most one row of a copy, so the
+    gather's backward is an assignment into n + 1 rows, the last dropped.
+    The forward runs the array operations of the composition of row shifts
+    (tests/reference_ops.py), matmuls and a relu in its order: bit for bit.
     """
     x = e.data
     if (x.ndim != 2 or {w.data.shape for w in (left, center, right)} != {(x.shape[1],) * 2}
@@ -413,8 +395,7 @@ def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Ten
     prev_index, next_index = _shift_index(1, keep_prev, n), _shift_index(-1, keep_next, n)
     padded = np.concatenate((x, np.zeros((1, d))))
     prev, nxt = padded.take(prev_index, axis=0), padded.take(next_index, axis=0)
-    # in place, in the composition's order: fewer (n, d) temporaries to allocate
-    mixed = prev @ left.data
+    mixed = prev @ left.data  # summed in place, in the composition's order
     mixed += x @ center.data
     mixed += nxt @ right.data
     mixed += bias.data
