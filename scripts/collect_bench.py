@@ -26,7 +26,11 @@ record, ``PAIR_<n>.json`` by default, holds per workload and end-to-end
 metric both sides' values and medians, the median of the per-pair ratios
 change / parent, the change's wins and losses, a two-sided sign-test
 p-value and a verdict: the metric's bound, unchanged, applied to the median
-ratio. ``f1_equal`` says whether F1 was equal in every pair.
+ratio. ``f1_equal`` says whether F1 was equal in every pair. ``cpu_s`` holds
+each run's median per-round CPU time, read from the record the run wrote
+under its checkout's ``perfbench/out/``, with both sides' medians and the
+median ratio: CPU time leaves out time the machine gave to other guests, so
+it is context for reading ``run_s``, with no bound and no verdict.
 
     PYTHONPATH=src python3 scripts/collect_bench.py --root ../parent --out BENCH_0.json
     PYTHONPATH=src python3 scripts/collect_bench.py
@@ -113,6 +117,16 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
     return json.loads(lines[-1])
 
 
+def run_cpu_s(root: Path, workload: str, seed: int) -> float:
+    """The median per-round ``cpu_s`` of the record the last untraced run wrote under ``root``."""
+    path = root / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    try:
+        return read_json(path, "a perfbench run record",
+                         lambda r: statistics.median(note["cpu_s"] for note in r["notes"]))
+    except (OSError, InputError) as exc:
+        sys.exit(f"collect_bench: {workload} seed {seed}: no per-round cpu_s: {exc}")
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per metric: unit, median, inclusive quartiles and the per-seed values."""
     out = {}
@@ -170,18 +184,28 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail)
 
 
+def ratios(parent: list[float], change: list[float]) -> dict:
+    """Both sides' medians and the median per-pair ratio change / parent (None if a parent value is 0)."""
+    ratio = statistics.median(c / p for p, c in zip(parent, change)) if all(parent) else None
+    return {"parent_median": statistics.median(parent), "change_median": statistics.median(change),
+            "median_ratio": ratio, "parent": parent, "change": change}
+
+
 def paired(parent: list[float], change: list[float], bound: float, sign: int) -> dict:
-    """One metric's pairs: medians, median ratio change / parent, wins, sign test and verdict."""
+    """One metric's pairs: `ratios`, the change's wins and losses, sign test and verdict."""
     diffs = [sign * (c - p) for p, c in zip(parent, change)]  # < 0: the change is better
     wins, losses = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
-    ratio = statistics.median(c / p for p, c in zip(parent, change)) if all(parent) else None
-    return {
-        "parent_median": statistics.median(parent), "change_median": statistics.median(change),
-        "median_ratio": ratio, "wins": wins, "losses": losses,
-        "sign_test_p": sign_test(wins, losses),
-        "verdict": None if ratio is None else verdict(ratio - 1.0, bound, sign),
-        "parent": parent, "change": change,
-    }
+    entry = ratios(parent, change)
+    ratio = entry["median_ratio"]
+    return {**entry, "wins": wins, "losses": losses, "sign_test_p": sign_test(wins, losses),
+            "verdict": None if ratio is None else verdict(ratio - 1.0, bound, sign)}
+
+
+def ratio_row(workload: str, metric: str, entry: dict) -> str:
+    """The start of a ``--pair`` table line: both medians and the median ratio of `ratios`."""
+    ratio = "-" if entry["median_ratio"] is None else f"{entry['median_ratio']:.3f}"
+    return (f"{workload:<16}{metric:<14}{entry['parent_median']:>12.5g}"
+            f"{entry['change_median']:>12.5g}{ratio:>8}")
 
 
 def check_pair_args(args):
@@ -214,12 +238,14 @@ def pair_main(args):
              f"{'wins':>7}{'p':>8}  verdict"]
     for workload in workloads:
         runs = {"parent": [], "change": []}
+        cpu = {"parent": [], "change": []}
         order = []
         for i in range(pairs):
             first = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             order.append(first[0])
             for side in first:
                 runs[side].append(run_once(roots[side], workload, PAIR_SEED, seconds, 0))
+                cpu[side].append(run_cpu_s(roots[side], workload, PAIR_SEED))
             print(f"{workload} pair {i + 1} of {pairs} done", file=sys.stderr)
         values = {side: {m: [r["metrics"][m]["value"] for r in rs] for m in bounds}
                   for side, rs in runs.items()}
@@ -231,12 +257,13 @@ def pair_main(args):
             "attempted": sum(r["attempted"] for r in every),
             "failed": sum(r["failed"] for r in every),
             "end_to_end": metrics,
+            "cpu_s": ratios(cpu["parent"], cpu["change"]),
         }
         for m, entry in metrics.items():
-            ratio = "-" if entry["median_ratio"] is None else f"{entry['median_ratio']:.3f}"
-            lines.append(f"{workload:<16}{m:<14}{entry['parent_median']:>12.5g}"
-                         f"{entry['change_median']:>12.5g}{ratio:>8}"
-                         f"{entry['wins']:>4}/{pairs:<2}{entry['sign_test_p']:>8.3g}  {entry['verdict']}")
+            lines.append(ratio_row(workload, m, entry) + f"{entry['wins']:>4}/{pairs:<2}"
+                         f"{entry['sign_test_p']:>8.3g}  {entry['verdict']}")
+        lines.append(ratio_row(workload, "cpu_s", record["workloads"][workload]["cpu_s"])
+                     + "  (context, no verdict)")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
     print("\n".join(lines))

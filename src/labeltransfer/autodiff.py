@@ -27,8 +27,9 @@ operations as the chain it replaces, so their values agree bit for bit (for
 ``label_fusion``, on a batch of one); the chains live in tests/reference_ops.py.
 A training batch (about 90 rows of 32) costs mostly per numpy call, so the
 ops move rows by one gather or assignment on one index vector (``window_mix``
-reads its shifted copies from its rows plus one zero row) and add in place
-where the order allows; each adds in the unfused order, bit for bit.
+reads its shifted copies from its rows plus one zero row, at indices its
+sentences' row offsets give) and add in place where the order allows; each
+adds in the unfused order, bit for bit.
 """
 
 from __future__ import annotations
@@ -308,13 +309,15 @@ def softplus(a: Tensor) -> Tensor:
 def cross_entropy_rows(a: Tensor, ids) -> Tensor:
     """Mean over rows of -log softmax(a)[i, ids[i]], as one op.
 
-    The forward runs the array operations of
-    ``-pick(log_softmax_rows(a), ids).sum() / len(ids)`` (tests/reference_ops.py)
-    in their order, so the two agree bit for bit.
+    An id outside ``a``'s columns is an InputError. The forward runs the array
+    operations of ``-pick(log_softmax_rows(a), ids).sum() / len(ids)``
+    (tests/reference_ops.py) in their order, so the two agree bit for bit.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if a.data.ndim != 2 or ids.ndim != 1 or ids.shape[0] != a.data.shape[0]:
         raise ShapeError("cross_entropy_rows expects a 2-D tensor and one index per row")
+    if ids.size and (ids.min() < 0 or ids.max() >= a.data.shape[1]):
+        raise InputError(f"cross_entropy_rows: id outside the tag set of {a.data.shape[1]} columns")
     if not np.isfinite(a.data).all():
         raise NumericError("cross_entropy_rows: non-finite input")
     z = a.data - a.data.max(axis=-1, keepdims=True)
@@ -358,41 +361,37 @@ def rows_select(a: Tensor, ids) -> Tensor:
     return Tensor._make(a.data.take(ids, axis=0), (a,), backward)
 
 
-def _shift_index(k: int, keep, n: int) -> np.ndarray:
-    """The row of ``x`` plus one zero row that row i of a shift by k reads: i - k, or the
-    zero row (n, or -1) where i - k is outside ``x`` or ``keep[i]`` is False."""
-    index = np.arange(-k, n - k)
-    if keep is None:
-        return index
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != (n,):
-        raise ShapeError("keep needs one flag per row")
-    return np.where(keep, index, n)
-
-
 def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Tensor,
-               keep_prev=None, keep_next=None) -> Tensor:
+               offsets) -> Tensor:
     """``e + relu(prev @ left + e @ center + nxt @ right + bias)`` as one op.
 
-    The toy encoder's window-3 mixing layer with residual. ``prev`` holds
-    ``e``'s rows shifted down by one and ``nxt`` shifted up by one, with 0 in
-    each vacated row. ``keep_prev`` and ``keep_next`` are optional boolean
-    masks over the output rows: a row where one is False gets 0 in that
-    shifted copy too, so a batch of concatenated sentences passes False
-    where the neighbour would come from another sentence.
+    The toy encoder's window-3 mixing layer with residual, over a batch of
+    sentences whose rows ``e`` holds one after another. ``offsets`` are the
+    sentences' row offsets ``[0, n_1, n_1 + n_2, ..., n]`` (`fusion.Segments`),
+    each sentence at least one row. Row i of ``prev`` is row i - 1 of ``e``
+    and row i of ``nxt`` is row i + 1, or 0 where that row lies in another
+    sentence, so the window never crosses a sentence boundary.
 
-    Each shifted copy is one gather from ``e``'s rows plus one zero row
-    (`_shift_index`). A row of ``e`` feeds at most one row of a copy, so the
-    gather's backward is an assignment into n + 1 rows, the last dropped.
-    The forward runs the array operations of the composition of row shifts
-    (tests/reference_ops.py), matmuls and a relu in its order: bit for bit.
+    Each shifted copy is one gather from ``e``'s rows plus one zero row, on an
+    index vector the offsets give. A row of ``e`` feeds at most one row of a
+    copy, so the gather's backward is an assignment into n + 1 rows, the
+    last dropped. The forward runs the array operations of the composition
+    of row shifts (tests/reference_ops.py), matmuls and a relu in its order:
+    bit for bit.
     """
     x = e.data
     if (x.ndim != 2 or {w.data.shape for w in (left, center, right)} != {(x.shape[1],) * 2}
             or bias.data.shape != (1, x.shape[1])):
         raise ShapeError("window_mix expects (n, d) rows, three (d, d) weights and a (1, d) bias")
     n, d = x.shape
-    prev_index, next_index = _shift_index(1, keep_prev, n), _shift_index(-1, keep_next, n)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if (offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != n
+            or (offsets[1:] <= offsets[:-1]).any()):
+        raise ShapeError("window_mix expects row offsets from 0 to n, each sentence at least one row")
+    # row i reads row i - 1 (i + 1), or the zero row n at its sentence's first (last) row
+    prev_index, next_index = np.arange(-1, n - 1), np.arange(1, n + 1)
+    prev_index[offsets[:-1]] = n
+    next_index[offsets[1:] - 1] = n
     padded = np.concatenate((x, np.zeros((1, d))))
     prev, nxt = padded.take(prev_index, axis=0), padded.take(next_index, axis=0)
     mixed = prev @ left.data  # summed in place, in the composition's order

@@ -10,18 +10,19 @@ entity-presence head (binary cross-entropy).
 
 Batch layout. A training batch of B sentences runs as one graph: the
 sentences' token rows are concatenated into one (ΣN × d) matrix, and
-``lengths`` gives each sentence's token count. The encoder's window never
-crosses a sentence boundary. Label attention, the GCN and token fusion run
-as one op (`autodiff.label_fusion`) on padded (B, n_max, ·) arrays: each
-sentence attends only to its own tokens and components through batched
-matrix products, a padding token's label score is -inf, and every sentence
-shares the one normalized adjacency Â (for one shared graph, the
+``lengths`` gives each sentence's token count. ``lengths`` is the token
+counts or their checked `Segments`, built once per forward; their row
+offsets are what the encoder's window reads (`autodiff.window_mix`), so the
+window never crosses a sentence boundary. Label attention, the GCN and token
+fusion run as one op (`autodiff.label_fusion`) on padded (B, n_max, ·)
+arrays: each sentence attends only to its own tokens and components through
+batched matrix products, a padding token's label score is -inf, and every
+sentence shares the one normalized adjacency Â (for one shared graph, the
 block-diagonal batching of PyTorch Geometric is a broadcast product with
 Â). Cost is linear in B, so inference runs in chunks of
 ``pipeline.EVAL_CHUNK`` sentences, each one batched forward. The presence
-head pools each sentence with a (B × ΣN) averaging matrix. ``lengths`` is
-the token counts or their checked `Segments`, built once per forward. A
-single sentence is a batch of one (``lengths=None`` resolves to it), and
+head pools each sentence with a (B × ΣN) averaging matrix. A single
+sentence is a batch of one (``lengths=None`` resolves to it), and
 tests/test_batching.py asserts that its forward equals the per-sentence
 composition bit for bit; `label_attention`, `gcn_propagate` and
 `token_fusion` are that composition for one sentence, the reference the
@@ -217,13 +218,9 @@ def encode_toy(token_ids: np.ndarray, params: ModelParams, lengths=None) -> Tens
     does not reach across a sentence boundary.
     """
     offsets = _segments(lengths, len(token_ids)).offsets
-    keep_prev = np.ones(len(token_ids), dtype=bool)
-    keep_next = keep_prev.copy()
-    keep_prev[offsets[:-1]] = False  # a sentence's first token has no left neighbour
-    keep_next[offsets[1:] - 1] = False  # nor its last a right one
     e = ad.rows_select(params.embed, token_ids)
     return ad.window_mix(e, params.mix_left, params.mix_center, params.mix_right, params.mix_bias,
-                         keep_prev, keep_next)
+                         offsets)
 
 
 class EmbeddingFile:
@@ -325,11 +322,9 @@ def classification_loss_from_logits(logits: Tensor, gold_tag_ids) -> Tensor:
     """Mean token-level cross-entropy of precomputed tag logits.
 
     Over a batch's concatenated sentences this is the token-weighted mean of
-    the per-sentence losses.
+    the per-sentence losses. An id outside the tag set is an InputError
+    (`autodiff.cross_entropy_rows`).
     """
-    gold_tag_ids = np.asarray(gold_tag_ids, dtype=np.intp)
-    if gold_tag_ids.size and (gold_tag_ids.min() < 0 or gold_tag_ids.max() >= logits.data.shape[1]):
-        raise InputError("gold tag id outside tag set")
     return ad.cross_entropy_rows(logits, gold_tag_ids)
 
 

@@ -11,7 +11,7 @@ the O tokens.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -27,13 +27,14 @@ class LabelGraph:
 
     ``raw_nodes`` keeps the pre-normalization probability rows so that
     subgraphs over a label subset can be renormalized consistently.
-    ``edges`` maps (i, j) with i < j to the node distance (< threshold).
+    ``edges`` maps (i, j) with i < j to the node distance (< threshold). Like
+    the adjacency, it is derived on first read, so a graph whose edges no
+    loss reads (fine-tuning's per-batch source subgraph) never builds them.
     """
 
     labels: tuple[str, ...]
     nodes: np.ndarray
     raw_nodes: np.ndarray
-    edges: dict[tuple[int, int], float] = field(default_factory=dict)
     threshold: float = 1.5
     degenerate: bool = False
 
@@ -49,6 +50,10 @@ class LabelGraph:
         idx = [self.labels.index(l) for l in labels]
         return build_graph(self.raw_nodes[idx], list(labels), self.threshold)
 
+    @cached_property
+    def edges(self) -> dict[tuple[int, int], float]:
+        return threshold_edges(self.nodes, self.threshold)
+
     def adjacency(self) -> np.ndarray:
         """Symmetrically normalized binary adjacency with self-loops (read-only)."""
         return self._adjacency
@@ -57,9 +62,8 @@ class LabelGraph:
     def _adjacency(self) -> np.ndarray:
         # built once per graph: the GCN reads it on every forward
         a = np.eye(self.n)
-        for (i, j), _ in self.edges.items():
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        for i, j in self.edges:
+            a[i, j] = a[j, i] = 1.0
         d = a.sum(axis=1)
         inv_sqrt = 1.0 / np.sqrt(d)
         a = a * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -108,27 +112,23 @@ def threshold_edges(nodes: np.ndarray, threshold: float) -> dict[tuple[int, int]
     if threshold <= 0:
         raise GraphInputError("threshold must be positive")
     dist = pairwise_distances(nodes)
-    edges = {}
-    n = nodes.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] < threshold:
-                edges[(i, j)] = float(dist[i, j])
-    return edges
+    rows, cols = np.triu_indices(nodes.shape[0], k=1)  # every i < j, row by row
+    near = dist[rows, cols] < threshold
+    return {(i, j): float(dist[i, j]) for i, j in zip(rows[near].tolist(), cols[near].tolist())}
 
 
 def build_graph(rows, labels: list[str], threshold: float) -> LabelGraph:
-    """Graph from probability rows: normalize then add sub-threshold edges."""
+    """Graph from probability rows: normalized nodes (edges follow on first read)."""
     raw = np.asarray(rows, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise GraphInputError("build_graph expects at least one row")
+    if threshold <= 0:
+        raise GraphInputError("threshold must be positive")
     norm = normalize_nodes(raw)
-    edges = threshold_edges(norm.nodes, threshold)
     return LabelGraph(
         labels=tuple(labels),
         nodes=norm.nodes,
         raw_nodes=raw.copy(),
-        edges=edges,
         threshold=float(threshold),
         degenerate=norm.degenerate,
     )

@@ -430,7 +430,8 @@ def _batch_loss(model: Model, batch: list[_SentenceTargets], config: TrainConfig
         offsets = trace.seg.offsets
         rows = np.concatenate([off + sent.entity_rows for off, sent in zip(offsets, batch)])
         gold_types = [t for sent in batch for t in sent.entity_types]
-        type_logits = ad.rows_select(model.type_logits_tensor(logits), rows)
+        # the entity rows first: the log-sum-exp runs on no other token
+        type_logits = model.type_logits_tensor(ad.rows_select(logits, rows))
         gw = _batch_gw_term(model.source_graph, type_logits, gold_types, config)
         gw_skipped = gw is None
         if not gw_skipped:

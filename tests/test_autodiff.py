@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference_ops as ref
 from labeltransfer import autodiff as ad
-from labeltransfer.autodiff import NumericError, ShapeError, Tensor, grad_check
+from labeltransfer.autodiff import InputError, NumericError, ShapeError, Tensor, grad_check
 
 
 def rand(rng, *shape):
@@ -434,6 +434,14 @@ def test_cross_entropy_rows_errors():
         ad.cross_entropy_rows(Tensor([[np.nan, 0.0]]), [0])
 
 
+def test_cross_entropy_rows_rejects_ids_outside_the_columns():
+    logits = Tensor(np.zeros((2, 3)))
+    assert ad.cross_entropy_rows(logits, [0, 2]).item() == pytest.approx(np.log(3.0))
+    for bad in ([-1, 0], [0, 3]):  # -1 would otherwise score column 2
+        with pytest.raises(InputError, match="tag set"):
+            ad.cross_entropy_rows(logits, bad)
+
+
 def _window_composition(e, left, center, right, bias, keep_prev, keep_next):
     mixed = (
         ad.matmul(ref.shift_rows(e, 1, keep_prev), left)
@@ -444,9 +452,8 @@ def _window_composition(e, left, center, right, bias, keep_prev, keep_next):
     return e + ad.relu(mixed)
 
 
-def _sentence_masks(lengths):
-    """The encoder's keep masks: no window reaches across a sentence boundary."""
-    offsets = np.cumsum([0] + lengths)
+def _implied_masks(offsets):
+    """The keep masks that row offsets imply: no window reaches across a sentence boundary."""
     keep_prev = np.ones(offsets[-1], dtype=bool)
     keep_next = keep_prev.copy()
     keep_prev[offsets[:-1]] = False
@@ -455,20 +462,22 @@ def _sentence_masks(lengths):
 
 
 @pytest.mark.parametrize("lengths", [[1], [5], [3, 1, 4], [2, 2], [1, 1, 1]])
-@pytest.mark.parametrize("masked", [True, False])
-def test_window_mix_equals_shift_matmul_relu_composition(lengths, masked):
-    rng = np.random.default_rng(sum(lengths) + 10 * masked)
+@pytest.mark.parametrize("split", [True, False])
+def test_window_mix_equals_shift_matmul_relu_composition(lengths, split):
+    """With ``split`` the rows are the sentences of ``lengths``; without it, one sentence."""
+    rng = np.random.default_rng(sum(lengths) + 10 * split)
     d = 3
     embed = rand(rng, 6, d)
     left, center, right, bias = rand(rng, d, d), rand(rng, d, d), rand(rng, d, d), rand(rng, 1, d)
     ids = rng.integers(0, 6, size=sum(lengths))  # duplicates accumulate in embed
-    keep_prev, keep_next = _sentence_masks(lengths) if masked else (None, None)
+    offsets = np.cumsum([0] + lengths) if split else np.array([0, sum(lengths)])
+    keep_prev, keep_next = _implied_masks(offsets)
     w = Tensor(rng.normal(size=(len(ids), d)))
     leaves = [embed, left, center, right, bias]
 
     def fused():
         e = ad.rows_select(embed, ids)
-        return (ad.window_mix(e, left, center, right, bias, keep_prev, keep_next) * w).sum()
+        return (ad.window_mix(e, left, center, right, bias, offsets) * w).sum()
 
     def composed():
         e = ad.rows_select(embed, ids)
@@ -476,8 +485,9 @@ def test_window_mix_equals_shift_matmul_relu_composition(lengths, masked):
 
     e = Tensor(embed.data[ids])
     np.testing.assert_array_equal(
-        ad.window_mix(e, left, center, right, bias, keep_prev, keep_next).data,
+        ad.window_mix(e, left, center, right, bias, offsets).data,
         _window_composition(e, left, center, right, bias, keep_prev, keep_next).data)
+    # the fused backward adds e's three row gradients in another order than the tape
     for got, want in zip(_leaf_grads(fused(), leaves), _leaf_grads(composed(), leaves)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     report = grad_check(fused, leaves)
@@ -488,11 +498,13 @@ def test_window_mix_rejects_bad_shapes():
     rng = np.random.default_rng(5)
     e, sq, bias = rand(rng, 4, 3), rand(rng, 3, 3), rand(rng, 1, 3)
     with pytest.raises(ShapeError):
-        ad.window_mix(e, sq, sq, rand(rng, 3, 2), bias)
+        ad.window_mix(e, sq, sq, rand(rng, 3, 2), bias, [0, 4])
     with pytest.raises(ShapeError):
-        ad.window_mix(e, sq, sq, sq, rand(rng, 1, 2))
-    with pytest.raises(ShapeError):
-        ad.window_mix(e, sq, sq, sq, bias, keep_prev=np.ones(3, dtype=bool))
+        ad.window_mix(e, sq, sq, sq, rand(rng, 1, 2), [0, 4])
+    # not from 0, not to n, an empty sentence, out of order, too few, not a vector
+    for offsets in ([1, 4], [0, 3], [0, 5], [0, 2, 2, 4], [0, 3, 2, 4], [0], [], [[0, 4]]):
+        with pytest.raises(ShapeError):
+            ad.window_mix(e, sq, sq, sq, bias, offsets)
 
 
 # -- gradient accumulation and backward order ---------------------------------------

@@ -509,11 +509,21 @@ def test_script_bad_input_exits_2_before_any_work(capsys, monkeypatch, tmp_path,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def _stub_benchmark_runs(monkeypatch, values):
+def _stub_checkout(root: Path) -> Path:
+    """A directory that passes for a checkout: a perfbench/run.py and this BENCHMARK.json."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("")
+    (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    return root
+
+
+def _stub_benchmark_runs(monkeypatch, values, cpu=lambda cwd, i: [1.0]):
     """Make ``subprocess.run`` answer perfbench runs with ``values(cwd, run index)``; returns the cwds.
 
-    ``values`` gives the end-to-end metrics of one run; git calls fail, as
-    outside a checkout.
+    ``values`` gives the end-to-end metrics of one run, and ``cpu`` its
+    rounds' ``cpu_s``, which go to the run's record under the cwd's
+    perfbench/out/, as perfbench writes it; git calls fail, as outside a
+    checkout.
     """
     cwds = []
 
@@ -522,7 +532,12 @@ def _stub_benchmark_runs(monkeypatch, values):
             raise OSError("no git here")
         assert argv[1:3] == ["perfbench/run.py", "--workload"] and argv[-2:] == ["--trace", "0"]
         cwds.append(str(cwd))
-        metrics = {m: {"value": v, "unit": "-"} for m, v in values(str(cwd), len(cwds) - 1).items()}
+        i = len(cwds) - 1
+        out = Path(cwd) / "perfbench" / "out"
+        out.mkdir(exist_ok=True)
+        notes = [{"cpu_s": c} for c in cpu(str(cwd), i)]
+        (out / f"result-{argv[3]}-seed{argv[5]}-trace0.json").write_text(json.dumps({"notes": notes}))
+        metrics = {m: {"value": v, "unit": "-"} for m, v in values(str(cwd), i).items()}
         line = json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics})
         return subprocess.CompletedProcess(argv, 0, stdout=f"progress\n{line}\n", stderr="")
 
@@ -531,14 +546,15 @@ def _stub_benchmark_runs(monkeypatch, values):
 
 
 def test_collect_bench_pair_of_a_checkout_against_itself(capsys, monkeypatch, tmp_path):
+    root = str(_stub_checkout(tmp_path / "checkout"))
     cwds = _stub_benchmark_runs(monkeypatch, lambda cwd, i: {m: 1.0 + (i // 2) for m in END_TO_END})
     namespace = runpy.run_path(str(Path(REPO) / "scripts" / "collect_bench.py"))
     out = tmp_path / "PAIR_0.json"
-    namespace["main"](["--pair", REPO, "--pairs", "3", "--out", str(out)])
+    namespace["main"](["--root", root, "--pair", root, "--pairs", "3", "--out", str(out)])
     record = json.loads(out.read_text())
     workloads = [w["name"] for w in BENCHMARK["workloads"]]
     assert list(record["workloads"]) == workloads
-    assert len(cwds) == 2 * 3 * len(workloads) and set(cwds) == {REPO}
+    assert len(cwds) == 2 * 3 * len(workloads) and set(cwds) == {root}
     assert record["pairs"] == 3 and record["seconds"] == BENCHMARK["run_seconds"]
     for entry in record["workloads"].values():
         assert entry["first"] == ["parent", "change", "parent"]
@@ -550,15 +566,15 @@ def test_collect_bench_pair_of_a_checkout_against_itself(capsys, monkeypatch, tm
             assert metric["median_ratio"] == 1.0
             assert (metric["wins"], metric["losses"], metric["sign_test_p"]) == (0, 0, 1.0)
             assert metric["verdict"] == "within"
+        assert entry["cpu_s"] == {"parent_median": 1.0, "change_median": 1.0, "median_ratio": 1.0,
+                                  "parent": [1.0] * 3, "change": [1.0] * 3}
     stdout = capsys.readouterr().out
+    assert stdout.count("(context, no verdict)") == len(workloads)
     assert stdout.rstrip().endswith(f"wrote {out}")
 
 
 def test_collect_bench_pair_alternates_and_applies_the_bounds(capsys, monkeypatch, tmp_path):
-    parent = tmp_path / "parent"
-    (parent / "perfbench").mkdir(parents=True)
-    (parent / "perfbench" / "run.py").write_text("")
-    (parent / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    parent, change = _stub_checkout(tmp_path / "parent"), str(_stub_checkout(tmp_path / "change"))
 
     def values(cwd, i):
         pair = i // 2  # runs 2k and 2k + 1 are pair k, whichever side went first
@@ -567,12 +583,15 @@ def test_collect_bench_pair_alternates_and_applies_the_bounds(capsys, monkeypatc
         return {"setup_s": 1.0, "run_s": 1.2 if pair == 1 else 0.7,  # loses pair 2 only
                 "tokens_per_s": 100.0 / 0.7, "f1": 0.4 if pair == 3 else 0.5, "peak_rss_mb": 48.0}
 
-    cwds = _stub_benchmark_runs(monkeypatch, values)
+    def cpu(cwd, i):  # a run's median round: 2 on the parent, 1 + pair on the change
+        return [2.0, 1.0, 9.0] if cwd == str(parent) else [0.5, 1.0 + i // 2, 9.0]
+
+    cwds = _stub_benchmark_runs(monkeypatch, values, cpu)
     namespace = runpy.run_path(str(Path(REPO) / "scripts" / "collect_bench.py"))
     out = tmp_path / "PAIR_0.json"
-    namespace["main"](["--pair", str(parent), "--pairs", "5", "--out", str(out)])
+    namespace["main"](["--root", change, "--pair", str(parent), "--pairs", "5", "--out", str(out)])
     first = [cwds[i] for i in range(0, 10, 2)]  # the first workload's pairs
-    assert first == [str(parent), REPO, str(parent), REPO, str(parent)]
+    assert first == [str(parent), change, str(parent), change, str(parent)]
     entry = json.loads(out.read_text())["workloads"][BENCHMARK["workloads"][0]["name"]]
     assert entry["first"] == ["parent", "change", "parent", "change", "parent"]
     assert entry["f1_equal"] is False
@@ -588,6 +607,8 @@ def test_collect_bench_pair_alternates_and_applies_the_bounds(capsys, monkeypatc
     assert metrics["peak_rss_mb"]["sign_test_p"] == pytest.approx(2 / 2**5)
     assert metrics["setup_s"]["verdict"] == "within" and metrics["setup_s"]["sign_test_p"] == 1.0
     assert (metrics["f1"]["wins"], metrics["f1"]["losses"]) == (0, 1)
+    assert entry["cpu_s"] == {"parent_median": 2.0, "change_median": 3.0, "median_ratio": 1.5,
+                              "parent": [2.0] * 5, "change": [1.0, 2.0, 3.0, 4.0, 5.0]}
 
 
 def test_collect_bench_compare_marks_changes_beyond_the_bound(capsys, monkeypatch, tmp_path):

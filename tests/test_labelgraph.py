@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_prob_rows
-from labeltransfer.autodiff import Tensor
+from labeltransfer.autodiff import Tensor, pairwise_distances
 from labeltransfer.labelgraph import (
     GraphInputError,
     build_graph,
@@ -129,6 +129,27 @@ def test_build_graph_rejects_empty():
 def test_threshold_edges_requires_positive_threshold():
     with pytest.raises(GraphInputError):
         threshold_edges(np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.5])
+def test_build_graph_rejects_a_non_positive_threshold_before_any_edge_is_read(threshold):
+    with pytest.raises(GraphInputError, match="threshold"):
+        build_graph(np.eye(2), ["A", "B"], threshold)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 7), st.floats(0.1, 3.0))
+def test_edges_are_thresholded_on_first_read(seed, n, threshold):
+    rows = random_prob_rows(np.random.default_rng(seed), n, 4)
+    g = build_graph(rows, [f"L{i}" for i in range(n)], threshold)
+    assert "edges" not in vars(g)  # nothing read them yet
+    dist = pairwise_distances(g.nodes)
+    near = {(i, j): float(dist[i, j])
+            for i in range(n) for j in range(i + 1, n) if dist[i, j] < threshold}
+    assert list(g.edges.items()) == list(near.items())  # row by row
+    assert threshold_edges(g.nodes, threshold) == g.edges
+    assert g.edges is g.edges
+    assert g.subgraph(list(g.labels)).edges == g.edges
 
 
 @settings(max_examples=40, deadline=None)

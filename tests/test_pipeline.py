@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_model
+from labeltransfer import autodiff as ad
 from labeltransfer import fusion as fu
 from labeltransfer import pipeline
 from labeltransfer.autodiff import Tensor
 from labeltransfer.data import InputError, TaggedCorpus, extract_spans, micro_f1, parse_conll
 from labeltransfer.errors import LabelTransferError, NumericError, ShapeError
-from labeltransfer.labelgraph import build_graph
+from labeltransfer.labelgraph import build_graph, threshold_edges
 from labeltransfer.pipeline import (
     Model,
     TrainConfig,
@@ -340,6 +341,28 @@ def test_gw_term_skipped_when_the_source_subgraph_is_degenerate():
     assert out.total.item() == out.cls.item() + config.lambda1 * out.aux
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_type_logits_of_the_selected_rows_equal_the_selected_type_logits(seed):
+    # `_batch_loss` selects the entity rows before the log-sum-exp; it equals selecting after
+    rng = np.random.default_rng(seed)
+    model = make_model("fused", rng)
+    logits = Tensor(rng.normal(scale=3.0, size=(9, len(model.tags))), requires_grad=True)
+    rows = np.sort(rng.choice(9, size=int(rng.integers(1, 10)), replace=False))
+    w = Tensor(rng.normal(size=(len(rows), len(model.labels))))
+    grads = []
+    for select_first in (True, False):
+        if select_first:
+            type_logits = model.type_logits_tensor(ad.rows_select(logits, rows))
+        else:
+            type_logits = ad.rows_select(model.type_logits_tensor(logits), rows)
+        (type_logits * w).sum().backward()
+        grads.append((type_logits.data, logits.grad))
+        logits.grad = None
+    (got, got_grad), (want, want_grad) = grads
+    assert got.tobytes() == want.tobytes()
+    assert got_grad.tobytes() == want_grad.tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_sgd_step_rejects_non_finite_gradient_and_loss(bad):
     model = make_model("fused", np.random.default_rng(0))
@@ -430,6 +453,18 @@ def test_checkpoint_round_trip(task, f0, tmp_path):
     assert loaded.save_bytes() == model.save_bytes()
     tokens = list(task.target_test.sentences[0][0])
     assert loaded.predict_tags(tokens) == model.predict_tags(tokens)
+
+
+def test_source_graph_json_is_pinned_and_survives_a_checkpoint():
+    model = make_model("fused", np.random.default_rng(0))
+    graph = model.source_graph
+    assert sorted(graph.edges) == [(0, 2), (1, 2)]  # one pair is above the threshold
+    # the graph JSON of this model as it was when build_graph thresholded the edges itself
+    assert hashlib.sha256(graph.to_json().encode()).hexdigest() == (
+        "6f9277a794f24cc750295be2538fabaa6f2aa675483e692d4186e130159aeee9")
+    loaded = Model.load_bytes(model.save_bytes()).source_graph
+    assert loaded.to_json() == graph.to_json()
+    assert loaded.edges == graph.edges == threshold_edges(loaded.nodes, loaded.threshold)
 
 
 def test_checkpoint_rejects_bad_magic_and_version(f0):
