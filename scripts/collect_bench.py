@@ -25,8 +25,13 @@ the parent first in odd pairs and the change first in even ones. The
 record, ``PAIR_<n>.json`` by default, holds per workload and end-to-end
 metric both sides' values and medians, the median of the per-pair ratios
 change / parent, the change's wins and losses, a two-sided sign-test
-p-value and a verdict: the metric's bound, unchanged, applied to the median
-ratio. ``f1_equal`` says whether F1 was equal in every pair. ``cpu_s`` holds
+p-value, a verdict: the metric's bound, unchanged, applied to the median
+ratio, the parent's interquartile range and ``resolved``: whether the
+change is better in at least nine tenths of the pairs and the two medians
+differ by more than that range, the rule a claimed gain must meet. A metric
+whose parent range exceeds its bound cannot resolve a regression of that
+size either; the table prints the range as a share of the parent's median.
+``f1_equal`` says whether F1 was equal in every pair. ``cpu_s`` holds
 each run's median per-round CPU time, read from the record the run wrote
 under its checkout's ``perfbench/out/``, with both sides' medians and the
 median ratio: CPU time leaves out time the machine gave to other guests, so
@@ -191,14 +196,27 @@ def ratios(parent: list[float], change: list[float]) -> dict:
             "median_ratio": ratio, "parent": parent, "change": change}
 
 
+def iqr(values: list[float]) -> float:
+    """The distance between the inclusive quartiles of ``values`` (0 for one value)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def paired(parent: list[float], change: list[float], bound: float, sign: int) -> dict:
-    """One metric's pairs: `ratios`, the change's wins and losses, sign test and verdict."""
+    """One metric's pairs: `ratios`, the change's wins and losses, sign test, verdict,
+    the parent's interquartile range and whether a gain is resolved."""
     diffs = [sign * (c - p) for p, c in zip(parent, change)]  # < 0: the change is better
     wins, losses = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
     entry = ratios(parent, change)
     ratio = entry["median_ratio"]
+    spread = iqr(parent)
     return {**entry, "wins": wins, "losses": losses, "sign_test_p": sign_test(wins, losses),
-            "verdict": None if ratio is None else verdict(ratio - 1.0, bound, sign)}
+            "verdict": None if ratio is None else verdict(ratio - 1.0, bound, sign),
+            "parent_iqr": spread,
+            "resolved": 10 * wins >= 9 * len(parent)
+            and abs(entry["change_median"] - entry["parent_median"]) > spread}
 
 
 def ratio_row(workload: str, metric: str, entry: dict) -> str:
@@ -235,7 +253,7 @@ def pair_main(args):
     record = {"machine": {side: machine(root) for side, root in roots.items()},
               "seed": PAIR_SEED, "seconds": seconds, "pairs": pairs, "workloads": {}}
     lines = [f"{'workload':<16}{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>8}"
-             f"{'wins':>7}{'p':>8}  verdict"]
+             f"{'wins':>7}{'p':>8}  {'verdict':<8}{'IQR':>7}  resolved"]
     for workload in workloads:
         runs = {"parent": [], "change": []}
         cpu = {"parent": [], "change": []}
@@ -260,8 +278,10 @@ def pair_main(args):
             "cpu_s": ratios(cpu["parent"], cpu["change"]),
         }
         for m, entry in metrics.items():
+            spread = entry["parent_iqr"] / entry["parent_median"] if entry["parent_median"] else 0.0
             lines.append(ratio_row(workload, m, entry) + f"{entry['wins']:>4}/{pairs:<2}"
-                         f"{entry['sign_test_p']:>8.3g}  {entry['verdict']}")
+                         f"{entry['sign_test_p']:>8.3g}  {entry['verdict']!s:<8}{spread:>7.1%}  "
+                         + ("yes" if entry["resolved"] else "no"))
         lines.append(ratio_row(workload, "cpu_s", record["workloads"][workload]["cpu_s"])
                      + "  (context, no verdict)")
     with open(out, "w", encoding="utf-8") as fh:

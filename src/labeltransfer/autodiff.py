@@ -271,8 +271,8 @@ def relu(a: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
     """Row-wise softmax of ``a / temperature`` with max-shift stabilization."""
-    if temperature <= 0:
-        raise InputError("temperature must be positive")
+    if not temperature > 0:  # NaN fails it too
+        raise InputError(f"temperature must be positive, got {temperature}")
     if not np.isfinite(a.data).all():
         raise NumericError("softmax_rows: non-finite input")
     s = _softmax(a.data / temperature)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -55,11 +56,34 @@ class TaggedCorpus:
         return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
+# `parse_conll` splits its text into lines this many characters at a time (each
+# slice runs on to the next newline), so a corpus never holds all its lines at once.
+SLICE_CHARS = 64 * 1024
+
+
+def _slices(text: str):
+    """``text`` cut at the first newline after every ``SLICE_CHARS`` characters.
+
+    The cut newlines are dropped, so splitting each slice at its newlines gives
+    the lines of ``text.split("\\n")``; only a trailing empty line, which ends no
+    sentence and holds no error, may be left out.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + SLICE_CHARS)
+        stop = end if cut < 0 else cut
+        yield text[start:stop]
+        start = stop + 1
+
+
 def parse_conll(text: str | bytes) -> TaggedCorpus:
     """One token+tag per line, whitespace separated, blank line between sentences.
 
     Lenient BIO: an I-X that does not continue an X run becomes B-X, and
-    ``repairs`` counts those tags. Each distinct tag is checked once.
+    ``repairs`` counts those tags. Each distinct tag is checked once. The
+    corpus holds one string object per distinct token and per distinct tag,
+    and the text is split ``SLICE_CHARS`` characters at a time, so neither
+    the corpus nor the parse grows with a string per line.
     """
     if isinstance(text, bytes):
         try:
@@ -71,9 +95,13 @@ def parse_conll(text: str | bytes) -> TaggedCorpus:
     tokens: list[str] = []
     tags: list[str] = []
     prev_type = None
-    # tag -> (entity type, its B- tag if the tag is an I- tag, else None)
-    kinds: dict[str, tuple[str | None, str | None]] = {"O": (None, None)}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    # token -> the one string the corpus holds for it
+    vocab: dict[str, str] = {}
+    # tag -> (the one string the corpus holds for it, entity type, and the
+    # held B- tag if the tag is an I- tag, else None)
+    kinds: dict[str, tuple[str, str | None, str | None]] = {"O": ("O", None, None)}
+    lines = chain.from_iterable(piece.split("\n") for piece in _slices(text))
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             if tokens:
@@ -89,13 +117,16 @@ def parse_conll(text: str | bytes) -> TaggedCorpus:
             # a B-/I- tag needs a non-empty type
             if len(tag) == 2 or not tag.startswith(("B-", "I-")):
                 raise ParseError(f"line {lineno}: malformed tag {tag!r}")
-            kind = kinds[tag] = (tag[2:], "B-" + tag[2:] if tag[0] == "I" else None)
-        etype, begin = kind
+            etype = tag[2:]
+            b_tag = "B-" + etype
+            b_tag, etype, _ = kinds.setdefault(b_tag, (b_tag, etype, None))
+            kind = kinds.setdefault(tag, (tag, etype, b_tag))
+        tag, etype, begin = kind
         if begin is not None and prev_type != etype:
             tag = begin
             repairs += 1
         prev_type = etype
-        tokens.append(token)
+        tokens.append(vocab.setdefault(token, token))
         tags.append(tag)
     if tokens:
         sentences.append((tuple(tokens), tuple(tags)))
@@ -162,6 +193,9 @@ def micro_f1_ids(gold: np.ndarray, pred: np.ndarray, lengths) -> tuple[float, fl
     if gold.shape != pred.shape or gold.shape != (lengths.sum(),):
         raise InputError(f"tag id arrays of shapes {gold.shape} and {pred.shape} "
                          f"do not hold {lengths.sum()} tokens")
+    # a negative length could still sum to the token count, and -1 % 2 would read as a B
+    if (lengths < 0).any() or (gold < 0).any() or (pred < 0).any():
+        raise InputError("sentence lengths and tag ids must not be negative")
     starts = np.cumsum(lengths) - lengths
     first = np.zeros(len(gold), dtype=bool)
     first[starts[starts < len(gold)]] = True

@@ -115,12 +115,13 @@ def sinkhorn(
     cost = np.asarray(cost, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
-    if (u <= 0).any() or (v <= 0).any():
-        raise InputError("marginals must be strictly positive")
+    # NaN fails these comparisons; four reductions keep the check at four numpy calls
+    if not (u.min() > 0 and u.max() < np.inf and v.min() > 0 and v.max() < np.inf):
+        raise InputError("marginals u and v must be strictly positive and finite")
     if not np.isfinite(cost).all():
         raise NumericError("sinkhorn: non-finite cost")
     f = np.zeros(cost.shape[0]) if warm_f is None else warm_f
@@ -266,6 +267,8 @@ def gromov_wasserstein_distances(
     deterministic) keep the best objective. The default of 0 runs the
     plain single-start solver.
     """
+    if not 0 < epsilon < np.inf:
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     L = _loss_tensor(d_s, d_t)
     n, m = L.shape[:2]
     u = np.full(n, 1.0 / n)

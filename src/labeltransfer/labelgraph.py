@@ -109,8 +109,8 @@ def normalize_nodes(raw: np.ndarray) -> NormalizedNodes:
 
 
 def threshold_edges(nodes: np.ndarray, threshold: float) -> dict[tuple[int, int], float]:
-    if threshold <= 0:
-        raise GraphInputError("threshold must be positive")
+    if not threshold > 0:  # NaN fails it too
+        raise GraphInputError(f"threshold must be positive, got {threshold}")
     dist = pairwise_distances(nodes)
     rows, cols = np.triu_indices(nodes.shape[0], k=1)  # every i < j, row by row
     near = dist[rows, cols] < threshold
@@ -122,8 +122,8 @@ def build_graph(rows, labels: list[str], threshold: float) -> LabelGraph:
     raw = np.asarray(rows, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise GraphInputError("build_graph expects at least one row")
-    if threshold <= 0:
-        raise GraphInputError("threshold must be positive")
+    if not threshold > 0:  # NaN fails it too
+        raise GraphInputError(f"threshold must be positive, got {threshold}")
     norm = normalize_nodes(raw)
     return LabelGraph(
         labels=tuple(labels),

@@ -53,6 +53,12 @@ def test_softmax_rows_rejects_bad_temperature():
         ad.softmax_rows(Tensor([[1.0, 2.0]]), temperature=0.0)
 
 
+@pytest.mark.parametrize("temperature", [np.nan, -np.inf, -1.0])
+def test_softmax_rows_rejects_a_nan_or_negative_temperature_by_name(temperature):
+    with pytest.raises(InputError, match="temperature"):
+        ad.softmax_rows(Tensor([[1.0, 2.0]]), temperature=temperature)
+
+
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6), st.floats(0.5, 8))
 def test_softmax_rows_sum_and_shift_invariance(row, temperature):
     base = ad.softmax_rows(Tensor([row]), temperature=temperature).data

@@ -566,6 +566,7 @@ def test_collect_bench_pair_of_a_checkout_against_itself(capsys, monkeypatch, tm
             assert metric["median_ratio"] == 1.0
             assert (metric["wins"], metric["losses"], metric["sign_test_p"]) == (0, 0, 1.0)
             assert metric["verdict"] == "within"
+            assert metric["parent_iqr"] == 1.0 and metric["resolved"] is False  # parent: 1, 2, 3
         assert entry["cpu_s"] == {"parent_median": 1.0, "change_median": 1.0, "median_ratio": 1.0,
                                   "parent": [1.0] * 3, "change": [1.0] * 3}
     stdout = capsys.readouterr().out
@@ -607,8 +608,33 @@ def test_collect_bench_pair_alternates_and_applies_the_bounds(capsys, monkeypatc
     assert metrics["peak_rss_mb"]["sign_test_p"] == pytest.approx(2 / 2**5)
     assert metrics["setup_s"]["verdict"] == "within" and metrics["setup_s"]["sign_test_p"] == 1.0
     assert (metrics["f1"]["wins"], metrics["f1"]["losses"]) == (0, 1)
+    # a gain is resolved in at least 9 of 10 pairs: 5 of 5, but not 4 of 5
+    assert {m: e["resolved"] for m, e in metrics.items()} == {
+        "setup_s": False, "run_s": False, "tokens_per_s": True, "f1": False, "peak_rss_mb": False}
+    assert all(e["parent_iqr"] == 0.0 for e in metrics.values())
+    table = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert table[0][-2:] == ["IQR", "resolved"]
+    rows = {row[1]: row for row in table[1:] if row[0] == BENCHMARK["workloads"][0]["name"]}
+    assert rows["tokens_per_s"][-3:] == ["better", "0.0%", "yes"]
+    assert rows["run_s"][-3:] == ["better", "0.0%", "no"]
     assert entry["cpu_s"] == {"parent_median": 2.0, "change_median": 3.0, "median_ratio": 1.5,
                               "parent": [2.0] * 5, "change": [1.0, 2.0, 3.0, 4.0, 5.0]}
+
+
+def test_collect_bench_resolves_a_gain_only_beyond_the_parent_spread():
+    paired = runpy.run_path(str(Path(REPO) / "scripts" / "collect_bench.py"))["paired"]
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # quartiles 1.1 and 1.3
+    spread = paired(parent, [p - 0.1 for p in parent], 0.25, 1)
+    assert spread["wins"] == 10 and spread["parent_iqr"] == pytest.approx(0.2)
+    assert spread["resolved"] is False  # every pair better, but by less than the spread
+    beyond = paired(parent, [p - 0.3 for p in parent], 0.25, 1)
+    assert beyond["resolved"] is True
+    one_loss = paired(parent, [p - 0.3 for p in parent[:9]] + [1.5], 0.25, 1)
+    assert one_loss["wins"] == 9 and one_loss["resolved"] is True
+    two_losses = paired(parent, [p - 0.3 for p in parent[:8]] + [1.5, 1.5], 0.25, 1)
+    assert two_losses["resolved"] is False
+    higher = paired([100.0] * 3, [120.0] * 3, 0.25, -1)  # higher is better
+    assert higher["wins"] == 3 and higher["resolved"] is True
 
 
 def test_collect_bench_compare_marks_changes_beyond_the_bound(capsys, monkeypatch, tmp_path):

@@ -1,10 +1,13 @@
 """CoNLL parsing, span extraction, micro-F1, and the rare-type sampler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from labeltransfer import data
 from labeltransfer.data import (
     EntitySpan,
     InputError,
@@ -19,6 +22,7 @@ from labeltransfer.data import (
     parse_conll,
 )
 from labeltransfer.pipeline import tags_for
+from labeltransfer.synth import SynthSpec, generate
 
 # -- parsing -------------------------------------------------------------------
 
@@ -137,6 +141,75 @@ def test_parse_conll_malformed_line_error_equals_the_reference(lines, newline, b
         parse_conll(text)
     assert str(raised.value) == str(expected.value)
     assert str(raised.value).startswith(f"line {at + 1}: ")
+
+
+def test_the_corpus_holds_one_string_per_distinct_token_and_tag():
+    corpus = generate(SynthSpec(seed=3)).target_test
+    label = corpus.label_set[0]
+    # orphan I's: a repair's B- tag before and after the literal one
+    text = f"a I-NEW\nb O\n\nc B-NEW\nd I-NEW\n\n{corpus.to_conll()}\ne O\nf I-{label}\n"
+    parsed = parse_conll(text)
+    assert parsed.repairs == 2
+    for column in (0, 1):
+        strings = [s for sentence in parsed.sentences for s in sentence[column]]
+        assert len({id(s) for s in strings}) == len(set(strings))
+
+
+# sentence breaks, blank lines of whitespace, \r\n lines and two repairs, over 64 characters
+SLICED_TEXT = ("alpha B-PER\r\nbeta I-PER\n\ngamma I-LOC\r\n \r\ndelta O\n"
+               "epsilon B-LOC\n\t\nzeta I-LOC\neta O\r\n\ntheta I-PER\niota O\n")
+
+
+def test_slices_of_any_size_give_the_reference_parse(monkeypatch):
+    lines = SLICED_TEXT.split("\n")
+    for size in range(1, 65):
+        monkeypatch.setattr(data, "SLICE_CHARS", size)
+        for text in (SLICED_TEXT, SLICED_TEXT.rstrip("\n")):
+            expected, corpus = reference_parse_conll(text), parse_conll(text)
+            assert (corpus.sentences, corpus.repairs) == (expected.sentences, expected.repairs)
+        for at in range(len(lines)):
+            text = "\n".join(lines[:at] + ["a b c\r"] + lines[at:])
+            with pytest.raises(ParseError) as expected:
+                reference_parse_conll(text)
+            with pytest.raises(ParseError) as raised:
+                parse_conll(text)
+            assert str(raised.value) == str(expected.value)
+            assert str(raised.value).startswith(f"line {at + 1}: ")
+
+
+def _corpus_text(sentences: int) -> str:
+    """``sentences`` sentences of 8 to 14 tokens, drawn from 50 distinct tokens and 5 tags."""
+    rng = np.random.default_rng(sentences)
+    words = [f"word{k}" for k in range(50)]
+    tags = ["O", "B-A", "I-A", "B-B", "I-B"]
+    blocks = []
+    for _ in range(sentences):
+        n = int(rng.integers(8, 15))
+        blocks.append("\n".join(f"{words[w]} {tags[t]}"
+                                for w, t in zip(rng.integers(0, 50, n), rng.integers(0, 5, n))))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _parse_memory(text: str) -> tuple[float, int]:
+    """(bytes the parsed corpus keeps per token, peak bytes allocated beyond them), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = parse_conll(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (kept - before) / sum(len(tokens) for tokens, _ in corpus.sentences), peak - kept
+
+
+def test_parsing_keeps_no_string_per_token_and_no_list_of_every_line():
+    per_token, transient = _parse_memory(_corpus_text(20_000))
+    _, transient_5k = _parse_memory(_corpus_text(5_000))
+    # a string per token and tag would keep about 100 B per token, and the list of
+    # every line takes about 9 times the text (3.5 MB at 5,000 sentences, 14 MB at 20,000)
+    assert per_token < 40
+    assert transient < 1_000_000
+    assert abs(transient - transient_5k) < 250_000
 
 
 def test_parse_empty_text_gives_empty_corpus():
@@ -308,6 +381,11 @@ def test_micro_f1_ids_rejects_arrays_of_other_lengths():
         micro_f1_ids(np.zeros(3, dtype=np.intp), np.zeros(2, dtype=np.intp), [3])
     with pytest.raises(InputError):
         micro_f1_ids(np.zeros(3, dtype=np.intp), np.zeros(3, dtype=np.intp), [2])
+    with pytest.raises(InputError):  # a negative length, though the lengths sum to the tokens
+        micro_f1_ids(np.zeros(4, dtype=np.intp), np.zeros(4, dtype=np.intp), [5, -1])
+    for gold, pred in (([-1, 0], [1, 0]), ([1, 0], [-1, 0])):  # -1 % 2 == 1 would read as a B
+        with pytest.raises(InputError):
+            micro_f1_ids(np.array(gold), np.array(pred), [2])
 
 
 # -- sampler ---------------------------------------------------------------------------

@@ -119,6 +119,20 @@ def test_sinkhorn_rejects_a_zero_marginal_and_a_nan_cost():
         sinkhorn(np.array([[0.0, np.nan], [0.0, 0.0]]), u, u, epsilon=0.1)
 
 
+@pytest.mark.parametrize("bad, named", [
+    ({"u": [np.nan, 0.5]}, "marginals u and v"),
+    ({"u": [np.inf, 0.5]}, "marginals u and v"),
+    ({"v": [0.5, np.nan]}, "marginals u and v"),
+    ({"v": [0.5, np.inf]}, "marginals u and v"),
+    ({"epsilon": np.nan}, "epsilon"),
+    ({"epsilon": np.inf}, "epsilon"),
+])
+def test_sinkhorn_rejects_a_non_finite_marginal_or_epsilon(bad, named):
+    args = {"cost": np.zeros((2, 2)), "u": [0.5, 0.5], "v": [0.5, 0.5], "epsilon": 0.1, **bad}
+    with pytest.raises(InputError, match=named):
+        sinkhorn(**args)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 10_000), st.integers(2, 12), st.integers(2, 12),
@@ -145,6 +159,13 @@ def test_sinkhorn_scaling_matches_log_domain(seed, n, m, epsilon, warm):
     assert np.abs(plan.sum(axis=0) - v).max() < 1e-12
     if converged:
         assert np.abs(plan.sum(axis=1) - u).max() < 1e-10
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0, -0.05])
+def test_gw_distances_rejects_a_bad_epsilon_by_name(epsilon):
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InputError, match="epsilon"):
+        gromov_wasserstein_distances(d, d, epsilon=epsilon)
 
 
 def test_sinkhorn_wide_kernel_takes_log_domain_fallback():

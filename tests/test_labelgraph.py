@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_prob_rows
 from labeltransfer.autodiff import Tensor, pairwise_distances
+from labeltransfer.errors import InputError
 from labeltransfer.labelgraph import (
     GraphInputError,
     build_graph,
@@ -25,6 +26,12 @@ def test_conditionals_single_token_softmax():
     labels, rows = estimate_conditionals([[2.0, 0.0]], ["PER"], temperature=4.0)
     assert labels == ("PER",)
     np.testing.assert_allclose(rows, [[0.6225, 0.3775]], atol=1e-4)
+
+
+@pytest.mark.parametrize("temperature", [np.nan, 0.0])
+def test_conditionals_reject_a_nan_or_zero_temperature_by_name(temperature):
+    with pytest.raises(InputError, match="temperature"):
+        estimate_conditionals([[2.0, 0.0]], ["PER"], temperature=temperature)
 
 
 def test_conditionals_one_dimensional():
@@ -135,6 +142,15 @@ def test_threshold_edges_requires_positive_threshold():
 def test_build_graph_rejects_a_non_positive_threshold_before_any_edge_is_read(threshold):
     with pytest.raises(GraphInputError, match="threshold"):
         build_graph(np.eye(2), ["A", "B"], threshold)
+
+
+@pytest.mark.parametrize("build", [
+    lambda threshold: build_graph(np.eye(2), ["A", "B"], threshold),
+    lambda threshold: threshold_edges(np.eye(2), threshold),
+], ids=["build_graph", "threshold_edges"])
+def test_a_nan_threshold_is_rejected_by_name(build):
+    with pytest.raises(GraphInputError, match="threshold"):
+        build(np.nan)
 
 
 @settings(max_examples=40, deadline=None)
