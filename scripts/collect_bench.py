@@ -205,8 +205,7 @@ def iqr(values: list[float]) -> float:
 
 
 def paired(parent: list[float], change: list[float], bound: float, sign: int) -> dict:
-    """One metric's pairs: `ratios`, the change's wins and losses, sign test, verdict,
-    the parent's interquartile range and whether a gain is resolved."""
+    """One metric's pairs: `ratios`, wins, losses, sign test, verdict, parent IQR, resolved."""
     diffs = [sign * (c - p) for p, c in zip(parent, change)]  # < 0: the change is better
     wins, losses = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
     entry = ratios(parent, change)
@@ -278,9 +277,9 @@ def pair_main(args):
             "cpu_s": ratios(cpu["parent"], cpu["change"]),
         }
         for m, entry in metrics.items():
-            spread = entry["parent_iqr"] / entry["parent_median"] if entry["parent_median"] else 0.0
+            iqr_share = entry["parent_iqr"] / entry["parent_median"] if entry["parent_median"] else 0.0
             lines.append(ratio_row(workload, m, entry) + f"{entry['wins']:>4}/{pairs:<2}"
-                         f"{entry['sign_test_p']:>8.3g}  {entry['verdict']!s:<8}{spread:>7.1%}  "
+                         f"{entry['sign_test_p']:>8.3g}  {entry['verdict']!s:<8}{iqr_share:>7.1%}  "
                          + ("yes" if entry["resolved"] else "no"))
         lines.append(ratio_row(workload, "cpu_s", record["workloads"][workload]["cpu_s"])
                      + "  (context, no verdict)")

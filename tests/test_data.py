@@ -155,7 +155,7 @@ def test_the_corpus_holds_one_string_per_distinct_token_and_tag():
         assert len({id(s) for s in strings}) == len(set(strings))
 
 
-# sentence breaks, blank lines of whitespace, \r\n lines and two repairs, over 64 characters
+# sentence breaks, blank lines of whitespace, \r\n lines and three repairs, over 64 characters
 SLICED_TEXT = ("alpha B-PER\r\nbeta I-PER\n\ngamma I-LOC\r\n \r\ndelta O\n"
                "epsilon B-LOC\n\t\nzeta I-LOC\neta O\r\n\ntheta I-PER\niota O\n")
 
@@ -164,6 +164,8 @@ def test_slices_of_any_size_give_the_reference_parse(monkeypatch):
     lines = SLICED_TEXT.split("\n")
     for size in range(1, 65):
         monkeypatch.setattr(data, "SLICE_CHARS", size)
+        pieces = list(data._slices(SLICED_TEXT))
+        assert len(pieces) > 1 and all(len(piece) >= size for piece in pieces[:-1])
         for text in (SLICED_TEXT, SLICED_TEXT.rstrip("\n")):
             expected, corpus = reference_parse_conll(text), parse_conll(text)
             assert (corpus.sentences, corpus.repairs) == (expected.sentences, expected.repairs)
@@ -191,7 +193,7 @@ def _corpus_text(sentences: int) -> str:
 
 
 def _parse_memory(text: str) -> tuple[float, int]:
-    """(bytes the parsed corpus keeps per token, peak bytes allocated beyond them), by tracemalloc."""
+    """(bytes per token the parsed corpus keeps, peak bytes beyond them), by tracemalloc."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
