@@ -37,6 +37,15 @@ under its checkout's ``perfbench/out/``, with both sides' medians and the
 median ratio: CPU time leaves out time the machine gave to other guests, so
 it is context for reading ``run_s``, with no bound and no verdict.
 
+Every record also holds ``machine_index_s``: the wall seconds of a fixed
+loop of small numpy dot products and dict lookups (about 50 ms, no package
+code), timed before the first run and after the last. Where both records
+hold one, ``--compare`` also prints each time's change divided by the ratio
+of the two records' indices (B / A, each the mean of its two loops), and
+each rate's change multiplied by it: the change as on a machine as fast as
+A's. That column is context for records taken on other days or machines,
+with no verdict.
+
     PYTHONPATH=src python3 scripts/collect_bench.py --root ../parent --out BENCH_0.json
     PYTHONPATH=src python3 scripts/collect_bench.py
     PYTHONPATH=src python3 scripts/collect_bench.py --compare BENCH_3.json BENCH_4.json
@@ -50,6 +59,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
+
+import numpy as np
 
 from labeltransfer.cli import machine, one_line_errors
 from labeltransfer.errors import InputError
@@ -61,6 +73,8 @@ SEEDS = (0, 1, 2, 3, 4)
 PAIR_SEED = 0
 # pairs per workload in --pair mode, unless --pairs says otherwise
 PAIRS = 10
+# iterations of the machine-index loop, about 50 ms on a 2 vCPU guest
+INDEX_LOOPS = 20_000
 
 
 def next_record(root: Path, prefix: str = "BENCH") -> Path:
@@ -108,6 +122,25 @@ def check_args(args):
     root = checkout(args.root)
     workloads, seconds = workloads_of(root)
     return root, workloads, seconds, new_record(args.out, "BENCH")
+
+
+def machine_index() -> float:
+    """Wall seconds of ``INDEX_LOOPS`` 16 x 16 dot products and 64-key dict lookups, after a warm-up."""
+    a = np.linspace(0.0, 1.0, 256).reshape(16, 16)
+    table = {i: i * i for i in range(64)}
+    keys = range(64)
+    for loops in (INDEX_LOOPS // 20, INDEX_LOOPS):
+        start = perf_counter()
+        for _ in range(loops):
+            a.dot(a)
+            sum(map(table.__getitem__, keys))
+    return perf_counter() - start
+
+
+def index_of(record: dict) -> float | None:
+    """A record's machine index, the mean of its two loops; None for a record without one."""
+    index = record.get("machine_index_s")
+    return None if index is None else (index["before"] + index["after"]) / 2
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -161,16 +194,22 @@ def compare(args) -> list[str]:
     if args.out:
         raise InputError("--compare starts no run and writes no record; drop --out")
     metrics = end_to_end_bounds(args.root)
+    # time metrics scale with the machine index, rates with its inverse
+    scaling = read_json(Path(args.root) / "BENCHMARK.json", "a benchmark declaration", lambda b: {
+        m["name"]: {"s": -1, "1/s": 1}.get(m["unit"]) for m in b["end_to_end"]})
 
     def medians(record):
         return {(w, m): entry["end_to_end"][m]["median"]
-                for w, entry in record["workloads"].items() for m in metrics}
+                for w, entry in record["workloads"].items() for m in metrics}, index_of(record)
 
-    a, b = (read_json(path, "a benchmark record", medians) for path in args.compare)
+    (a, index_a), (b, index_b) = (read_json(path, "a benchmark record", medians)
+                                  for path in args.compare)
     if a.keys() != b.keys():
         raise InputError(f"the records hold other workloads: {sorted({w for w, _ in a})} "
                          f"and {sorted({w for w, _ in b})}")
-    lines = [f"{'workload':<16}{'metric':<14}{'A median':>12}{'B median':>12}{'change':>9}"]
+    indexed = bool(index_a and index_b)
+    lines = [f"{'workload':<16}{'metric':<14}{'A median':>12}{'B median':>12}{'change':>9}"
+             + (f"{'per index':>11}" if indexed else "")]
     for (workload, metric), before in a.items():
         after = b[workload, metric]
         change = (after - before) / before if before else float("nan")
@@ -178,7 +217,14 @@ def compare(args) -> list[str]:
         mark = ""
         if abs(change) > bound:
             mark = f"  beyond {bound:.0%}: {verdict(change, bound, sign)}"
-        lines.append(f"{workload:<16}{metric:<14}{before:>12.5g}{after:>12.5g}{change:>+9.1%}{mark}")
+        scaled = ""
+        if indexed:
+            power = scaling[metric]
+            scaled = "-" if power is None else f"{(1 + change) * (index_b / index_a) ** power - 1:+.1%}"
+        lines.append(f"{workload:<16}{metric:<14}{before:>12.5g}{after:>12.5g}{change:>+9.1%}"
+                     + (f"{scaled:>11}" if indexed else "") + mark)
+    if indexed:
+        lines.append(f"machine index: A {index_a:.4g} s, B {index_b:.4g} s, B / A {index_b / index_a:.3f}")
     return lines
 
 
@@ -250,6 +296,7 @@ def pair_main(args):
     with one_line_errors("collect_bench"):
         roots, pairs, workloads, seconds, bounds, out = check_pair_args(args)
     record = {"machine": {side: machine(root) for side, root in roots.items()},
+              "machine_index_s": {"before": machine_index()},
               "seed": PAIR_SEED, "seconds": seconds, "pairs": pairs, "workloads": {}}
     lines = [f"{'workload':<16}{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>8}"
              f"{'wins':>7}{'p':>8}  {'verdict':<8}{'IQR':>7}  resolved"]
@@ -283,6 +330,9 @@ def pair_main(args):
                          + ("yes" if entry["resolved"] else "no"))
         lines.append(ratio_row(workload, "cpu_s", record["workloads"][workload]["cpu_s"])
                      + "  (context, no verdict)")
+    record["machine_index_s"]["after"] = machine_index()
+    lines.append("machine index: {before:.4g} s before, {after:.4g} s after".format(
+        **record["machine_index_s"]))
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
     print("\n".join(lines))
@@ -312,7 +362,8 @@ def main(argv=None):
         return
     with one_line_errors("collect_bench"):
         root, workloads, seconds, out = check_args(args)
-    record = {"machine": machine(root), "seeds": SEEDS, "seconds": seconds, "workloads": {}}
+    record = {"machine": machine(root), "machine_index_s": {"before": machine_index()},
+              "seeds": SEEDS, "seconds": seconds, "workloads": {}}
     for workload in workloads:
         runs = {0: [], 1: []}
         for seed in SEEDS:
@@ -326,6 +377,7 @@ def main(argv=None):
             "end_to_end": summarize(runs[0]),
             "per_layer": summarize(runs[1]),
         }
+    record["machine_index_s"]["after"] = machine_index()
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
     print(f"wrote {out}")

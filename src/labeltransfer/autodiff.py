@@ -30,6 +30,17 @@ ops move rows by one gather or assignment on one index vector (``window_mix``
 reads its shifted copies from its rows plus one zero row, at indices its
 sentences' row offsets give) and add in place where the order allows; each
 adds in the unfused order, bit for bit.
+Under ``no_grad``, ``window_mix`` and ``label_fusion`` write their internal
+temporaries through numpy's ``out=`` into a pool of three flat float64
+buffers (``_scratch``), kept across calls and grown on demand, so inference
+over chunk after chunk allocates only the ops' outputs and never returns
+those pages to the OS to fault them in again. The two ops share the slots:
+no op's temporaries outlive its call and the ops do not nest. While a tape
+is recorded they allocate as before, since a backward closure keeps its
+arrays. ``clear_scratch()`` frees the pool; `pipeline.Model.forward_chunks`
+calls it when its loop ends. The package is single-threaded: ``no_grad``'s
+flag and the pool are module globals, so two threads must not run ops at
+once.
 """
 
 from __future__ import annotations
@@ -52,6 +63,9 @@ _grad_enabled = True
 _creation = itertools.count(1)
 _creation_order = attrgetter("_order")
 
+# slot -> flat float64 buffer that ops reuse for their temporaries under no_grad (`_scratch`)
+_pool: dict[int, np.ndarray] = {}
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -63,6 +77,28 @@ def no_grad():
         yield
     finally:
         _grad_enabled = saved
+
+
+def _scratch(slot: int, shape: tuple) -> np.ndarray | None:
+    """A ``shape`` view of pooled buffer ``slot`` under no_grad, else None.
+
+    An op passes it as ``out=``: while a tape is recorded numpy allocates as
+    usual (a backward closure keeps its arrays), and under no_grad the
+    buffer, kept across calls, grows on demand. Ops share the slots, so a
+    view lives only within its op's call and is never an op's output.
+    """
+    if _grad_enabled:
+        return None
+    size = math.prod(shape)
+    buffer = _pool.get(slot)
+    if buffer is None or buffer.size < size:
+        buffer = _pool[slot] = np.empty(size)
+    return buffer[:size].reshape(shape)
+
+
+def clear_scratch():
+    """Free every pooled buffer (`_scratch`)."""
+    _pool.clear()
 
 
 def _as_array(x) -> np.ndarray:
@@ -392,11 +428,15 @@ def window_mix(e: Tensor, left: Tensor, center: Tensor, right: Tensor, bias: Ten
     prev_index, next_index = np.arange(-1, n - 1), np.arange(1, n + 1)
     prev_index[offsets[:-1]] = n
     next_index[offsets[1:] - 1] = n
-    padded = np.concatenate((x, np.zeros((1, d))))
-    prev, nxt = padded.take(prev_index, axis=0), padded.take(next_index, axis=0)
-    mixed = prev @ left.data  # summed in place, in the composition's order
-    mixed += x @ center.data
-    mixed += nxt @ right.data
+    # under no_grad every temporary but the output lies on a pooled slot (`_scratch`),
+    # reused once its array is read: slot 1 holds prev, x @ center, then nxt, and
+    # slot 0 padded, then nxt @ right; no backward reads them there
+    padded = np.concatenate((x, np.zeros((1, d))), out=_scratch(0, (n + 1, d)))
+    prev = padded.take(prev_index, axis=0, out=_scratch(1, (n, d)), mode="clip")
+    mixed = np.matmul(prev, left.data, out=_scratch(2, (n, d)))  # summed in place, in order
+    mixed += np.matmul(x, center.data, out=_scratch(1, (n, d)))
+    nxt = padded.take(next_index, axis=0, out=_scratch(1, (n, d)), mode="clip")
+    mixed += np.matmul(nxt, right.data, out=_scratch(0, (n, d)))
     mixed += bias.data
     mask = mixed > 0
     out = mixed * mask
@@ -462,9 +502,15 @@ def label_fusion(h: Tensor, proj_w: Tensor, proj_b: Tensor, label_reps: Tensor,
     slot = np.arange(x.shape[0]) + np.repeat(np.arange(lengths.size) * n_max - starts, lengths)
     padding = np.arange(n_max) >= lengths[:, None]  # B x n_max
 
-    q = x @ proj_w.data
+    # under no_grad q, qp, beta @ u' and mix lie on the pooled slots of `window_mix`;
+    # beta @ u' reuses q's once q is scattered into qp
+    q = np.matmul(x, proj_w.data, out=_scratch(0, (x.shape[0], d_p)))
     q += proj_b.data
-    qp = np.zeros((lengths.size, n_max, d_p))
+    qp = _scratch(1, (lengths.size, n_max, d_p))
+    if qp is None:
+        qp = np.zeros((lengths.size, n_max, d_p))
+    else:
+        qp.fill(0.0)  # the padding rows
     _flat(qp)[slot] = q
     scores = label_reps.data @ qp.transpose(0, 2, 1)  # B x n_types x n_max
     if not np.isfinite(scores).all():
@@ -480,7 +526,8 @@ def label_fusion(h: Tensor, proj_w: Tensor, proj_b: Tensor, label_reps: Tensor,
     if not np.isfinite(scores).all():
         raise NumericError("label_fusion: non-finite token scores")
     beta = _softmax(scores)
-    mix = _flat(beta @ u_prime).take(slot, axis=0)
+    mix = _flat(np.matmul(beta, u_prime, out=_scratch(0, qp.shape))).take(
+        slot, axis=0, out=_scratch(2, (x.shape[0], d_p)), mode="clip")
 
     def backward(g):
         if out_w.requires_grad:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -179,8 +180,9 @@ class Vocab:
             self.itos.append(token)
         return self.stoi[token]
 
-    def ids(self, tokens: list[str]) -> np.ndarray:
-        return np.array([self.stoi.get(t, 0) for t in tokens], dtype=np.intp)
+    def ids(self, tokens) -> np.ndarray:
+        """The id of each token of the iterable ``tokens``, 0 (UNK) for one not in the vocabulary."""
+        return np.fromiter(map(self.stoi.get, tokens, repeat(0)), np.intp)
 
     def __len__(self):
         return len(self.itos)

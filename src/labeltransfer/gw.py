@@ -119,6 +119,15 @@ def sinkhorn(
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
+    # tuple compares, no numpy call: the reductions below fail on an empty or mismatched marginal
+    if cost.ndim != 2:
+        raise ShapeError(f"cost must be a matrix, not of shape {cost.shape}")
+    if u.shape != cost.shape[:1]:
+        raise ShapeError(f"marginal u has shape {u.shape}, not one entry per row of cost {cost.shape}")
+    if v.shape != cost.shape[1:]:
+        raise ShapeError(f"marginal v has shape {v.shape}, not one entry per column of cost {cost.shape}")
+    if not cost.size:
+        raise InputError(f"marginal {'v' if u.size else 'u'} is empty")
     # NaN fails these comparisons; four reductions keep the check at four numpy calls
     if not (u.min() > 0 and u.max() < np.inf and v.min() > 0 and v.max() < np.inf):
         raise InputError("marginals u and v must be strictly positive and finite")

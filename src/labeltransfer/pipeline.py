@@ -17,6 +17,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -111,14 +112,18 @@ def _batch_segments(sentences) -> fu.Segments:
 
 # Sentences per inference forward (`Model.forward_chunks`). The batched
 # forward costs time linear in the chunk, so larger chunks only spread the
-# per-forward overhead. Forward-only tagging of the 3,000-sentence perfbench
-# `tag` corpus (seed 0, CPU time, median of 15, 2 vCPU) took 854 ms in chunks
-# of 1, 165 ms at 8, 114 ms at 16, 84 ms at 32, 71 ms at 64, 68 ms at 128 and
-# 75 ms at 256; the block-masked forward this replaced took 229 ms at 8 in
-# the same sweep. In wall time on a quieter machine, 64 came first (43 ms,
-# against 66 ms at 128 and 64 ms at 256). It is not the model's
-# `batch_size`, so a checkpoint trained with a large batch does not set
-# inference memory.
+# per-forward overhead, and every chunk reuses the pooled temporaries of
+# `autodiff._scratch`. Forward-only tagging of the 3,000-sentence perfbench
+# `tag` corpus (seed 0, CPU time, median of 15 after 3 warm-ups, 2 vCPU, two
+# passes) took 375-409 ms in chunks of 1, 67-69 ms at 8, 46-48 ms at 16,
+# 35-36 ms at 32, 32-33 ms at 64, 34 ms at 128 and 35-38 ms at 256. Without
+# the pool, 64 took 49 ms, with 13,288 minor page faults a pass against 363.
+# The chunk also sets the last bits of the tag-logit matmul: on that corpus,
+# chunks of 128 change 15 of 33,255 logit rows against 64, chunks of 24
+# change 57 and chunks of 1 change 905. `build_source_graph` reads this
+# forward, so another chunk size would change every fine-tune. It is not the
+# model's `batch_size`, so a checkpoint trained with a large batch does not
+# set inference memory.
 EVAL_CHUNK = 64
 
 
@@ -140,7 +145,7 @@ class Model:
 
     def token_ids(self, sentences) -> np.ndarray:
         """The vocabulary ids of the concatenated sentences' tokens."""
-        return self.vocab.ids([token for s in sentences for token in s])
+        return self.vocab.ids(chain.from_iterable(sentences))
 
     def encode(self, sentences, ids, seg: fu.Segments) -> Tensor:
         """Token embeddings of the concatenated sentences.
@@ -175,13 +180,19 @@ class Model:
         """Yield (chunk, tag logits) of consecutive chunks of at most `EVAL_CHUNK` sentences.
 
         Each chunk is one no-grad forward. Tagging, evaluation and the
-        source-graph build all run inference through this one loop.
+        source-graph build all run inference through this one loop. Its
+        ops reuse pooled temporaries from chunk to chunk (`autodiff._scratch`),
+        and the pool is freed when the loop ends or is abandoned; every
+        yielded array is the chunk's own.
         """
-        for start in range(0, len(sentences), EVAL_CHUNK):
-            chunk = sentences[start : start + EVAL_CHUNK]
-            with ad.no_grad():
-                logits = self.forward(chunk, self.token_ids(chunk))[0]
-            yield chunk, logits
+        try:
+            for start in range(0, len(sentences), EVAL_CHUNK):
+                chunk = sentences[start : start + EVAL_CHUNK]
+                with ad.no_grad():
+                    logits = self.forward(chunk, self.token_ids(chunk))[0]
+                yield chunk, logits
+        finally:
+            ad.clear_scratch()
 
     def tag_logits_array(self, tokens) -> np.ndarray:
         """Tag logits of one sentence: `forward_chunks` on a batch of one."""
@@ -550,7 +561,8 @@ def evaluate(model: Model, corpus: TaggedCorpus):
     """
     index = {tag: i for i, tag in enumerate(model.tags)}
     try:
-        gold = np.fromiter((index[t] for _, tags in corpus.sentences for t in tags), dtype=np.intp)
+        gold = np.fromiter(map(index.__getitem__, chain.from_iterable(
+            tags for _, tags in corpus.sentences)), dtype=np.intp)
     except KeyError as exc:
         unknown = sorted(set(corpus.label_set) - set(model.labels))
         if unknown:

@@ -569,9 +569,36 @@ def test_collect_bench_pair_of_a_checkout_against_itself(capsys, monkeypatch, tm
             assert metric["parent_iqr"] == 1.0 and metric["resolved"] is False  # parent: 1, 2, 3
         assert entry["cpu_s"] == {"parent_median": 1.0, "change_median": 1.0, "median_ratio": 1.0,
                                   "parent": [1.0] * 3, "change": [1.0] * 3}
+    index = record["machine_index_s"]
+    assert sorted(index) == ["after", "before"] and all(s > 0 for s in index.values())
     stdout = capsys.readouterr().out
     assert stdout.count("(context, no verdict)") == len(workloads)
-    assert stdout.rstrip().endswith(f"wrote {out}")
+    assert "machine index: " in stdout and stdout.rstrip().endswith(f"wrote {out}")
+
+
+def test_collect_bench_record_times_the_machine_index_around_its_runs(capsys, monkeypatch, tmp_path):
+    root = str(_stub_checkout(tmp_path / "checkout"))
+    calls = []
+
+    def run(argv, cwd=None, **kwargs):
+        if argv[0] == "git":
+            raise OSError("no git here")
+        calls.append(argv)
+        metrics = {m: {"value": 1.0, "unit": "-"} for m in END_TO_END}
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    namespace = runpy.run_path(str(Path(REPO) / "scripts" / "collect_bench.py"))
+    loops = []
+    index = namespace["machine_index"]
+    namespace["main"].__globals__["machine_index"] = lambda: loops.append(len(calls)) or index()
+    out = tmp_path / "BENCH_0.json"
+    namespace["main"](["--root", root, "--out", str(out)])
+    record = json.loads(out.read_text())
+    assert loops == [0, len(calls)] and len(calls) == 2 * 5 * len(BENCHMARK["workloads"])
+    assert sorted(record["machine_index_s"]) == ["after", "before"]
+    assert all(0 < s < 10 for s in record["machine_index_s"].values())
 
 
 def test_collect_bench_pair_alternates_and_applies_the_bounds(capsys, monkeypatch, tmp_path):
@@ -657,6 +684,28 @@ def test_collect_bench_compare_marks_changes_beyond_the_bound(capsys, monkeypatc
     assert rows["tag", "tokens_per_s"].endswith("-30.0%  beyond 25%: WORSE")
     assert rows["tag", "peak_rss_mb"].endswith("+5.0%")
     assert rows["tag", "f1"].endswith("+0.0%")
+
+
+def test_collect_bench_compare_scales_times_and_rates_by_the_machine_index(capsys, tmp_path):
+    before, after = json.loads(RECORD), json.loads(RECORD)
+    before["machine_index_s"] = {"before": 0.04, "after": 0.06}  # mean 0.05
+    after["machine_index_s"] = {"before": 0.1, "after": 0.1}  # a machine twice as slow
+    medians = after["workloads"]["tag"]["end_to_end"]
+    medians["run_s"]["median"] = 2.4  # 20 % slower than twice the time
+    medians["tokens_per_s"]["median"] = 0.5  # exactly half the rate
+    (tmp_path / "A.json").write_text(json.dumps(before))
+    (tmp_path / "B.json").write_text(json.dumps(after))
+    namespace = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "collect_bench.py"))
+    namespace["main"](["--compare", str(tmp_path / "A.json"), str(tmp_path / "B.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-2:] == ["per", "index"]
+    assert lines[-1] == "machine index: A 0.05 s, B 0.1 s, B / A 2.000"
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:-1]}
+    assert rows["tag", "run_s"][2:4] == ["+140.0%", "+20.0%"]
+    assert rows["tag", "run_s"][-1] == "WORSE"  # the verdict reads the unscaled change
+    assert rows["tag", "tokens_per_s"][2:] == ["-50.0%", "+0.0%", "beyond", "25%:", "WORSE"]
+    assert rows["tag", "f1"][2:] == ["+0.0%", "-"]  # neither a time nor a rate
+    assert rows["tag", "peak_rss_mb"][2:] == ["+0.0%", "-"]
 
 
 # the transfer task of `_run_ablation`, with small corpora

@@ -133,6 +133,23 @@ def test_sinkhorn_rejects_a_non_finite_marginal_or_epsilon(bad, named):
         sinkhorn(**args)
 
 
+@pytest.mark.parametrize("cost, u, v, error, named", [
+    (np.zeros((0, 2)), np.zeros(0), np.full(2, 0.5), InputError, "marginal u is empty"),
+    (np.zeros((2, 0)), np.full(2, 0.5), np.zeros(0), InputError, "marginal v is empty"),
+    (np.zeros((0, 0)), np.zeros(0), np.zeros(0), InputError, "marginal u is empty"),
+    (np.zeros((3, 3)), np.full(3, 1 / 3), np.full(4, 0.25), ShapeError, r"marginal v has shape \(4,\)"),
+    (np.zeros((3, 4)), np.full(4, 0.25), np.full(4, 0.25), ShapeError, r"marginal u has shape \(4,\)"),
+    (np.zeros((2, 2)), np.full((2, 1), 0.5), np.full(2, 0.5), ShapeError, "marginal u"),
+    (np.zeros((2, 2)), np.full(2, 0.5), np.zeros(0), ShapeError, "marginal v"),
+    (np.zeros(4), np.full(2, 0.5), np.full(2, 0.5), ShapeError, "cost must be a matrix"),
+    (np.zeros((2, 2, 1)), np.full(2, 0.5), np.full(2, 0.5), ShapeError, "cost must be a matrix"),
+], ids=["empty_u", "empty_v", "both_empty", "v_longer", "u_longer", "u_2d", "v_empty_only",
+        "cost_1d", "cost_3d"])
+def test_sinkhorn_rejects_an_empty_or_mismatched_marginal(cost, u, v, error, named):
+    with pytest.raises(error, match=named):
+        sinkhorn(cost, u, v, epsilon=0.1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 10_000), st.integers(2, 12), st.integers(2, 12),
